@@ -46,6 +46,7 @@ type t = {
   c : float;
   policy : policy;
   mutable n : int; (* admitted threads *)
+  mutable active : int; (* admitted and not departed *)
   residents : resident list array; (* per server, newest first *)
   counts : int array; (* per server, [List.length residents.(j)] *)
   orders : order array; (* per server merged piece order (incremental policies) *)
@@ -74,6 +75,7 @@ let create ?(policy = Incremental) ~servers ~capacity () =
     c = capacity;
     policy;
     n = 0;
+    active = 0;
     residents = Array.make servers [];
     counts = Array.make servers 0;
     orders =
@@ -101,10 +103,7 @@ let resolves t = t.resolves
 
 let is_active t i = i >= 0 && i < t.n && not (Dynvec.get t.departed i)
 
-let n_active t =
-  let k = ref 0 in
-  Dynvec.iter (fun d -> if not d then incr k) t.departed;
-  !k
+let n_active t = t.active
 
 (* --- merged piece order maintenance -------------------------------- *)
 
@@ -311,6 +310,7 @@ let enroll t j u p =
   Dynvec.push t.departed false;
   Dynvec.push t.byid r;
   t.n <- t.n + 1;
+  t.active <- t.active + 1;
   t.counts.(j) <- t.counts.(j) + 1;
   match t.policy with
   | Full -> commit t j (r :: t.residents.(j))
@@ -473,6 +473,7 @@ let depart t i =
   if not (is_active t i) then invalid_arg "Online.depart: unknown or departed thread";
   let j = Dynvec.get t.servers_of i in
   Dynvec.set t.departed i true;
+  t.active <- t.active - 1;
   t.counts.(j) <- t.counts.(j) - 1;
   let before = t.values.(j) in
   (match t.policy with

@@ -88,7 +88,8 @@ val update_utility : ?samples:int -> t -> int -> Aa_utility.Utility.t -> unit
     unknown/departed threads or cap mismatch. *)
 
 val n_active : t -> int
-(** Admitted and not departed. *)
+(** Admitted and not departed. O(1): a counter kept by admissions and
+    departures, not a scan of the admission history. *)
 
 val is_active : t -> int -> bool
 

@@ -3,16 +3,23 @@ open Aa_core
 
 let ( let* ) = Result.bind
 
+(* Strip a [#] comment, split on spaces and tabs: one backward scan that
+   conses each token as it is cut, so the list comes out in order with no
+   intermediate split lists. *)
 let tokens line =
-  (* strip comments, split on whitespace *)
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
+  let stop =
+    match String.index_opt line '#' with Some i -> i | None -> String.length line
   in
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+  let is_sep c = c = ' ' || c = '\t' in
+  (* [skip] walks left over separators; [cut] walks left over a token
+     ending at [last] and conses it *)
+  let rec skip acc i =
+    if i < 0 then acc else if is_sep line.[i] then skip acc (i - 1) else cut acc i (i - 1)
+  and cut acc last i =
+    if i >= 0 && not (is_sep line.[i]) then cut acc last (i - 1)
+    else skip (String.sub line (i + 1) (last - i) :: acc) i
+  in
+  skip [] (stop - 1)
 
 let float_of tok =
   try Ok (float_of_string tok) with Failure _ -> Error (tok ^ ": not a number")
@@ -71,6 +78,12 @@ let parse_thread ~cap args =
   with Invalid_argument msg -> Error msg
 
 let parse_thread_spec ~cap spec = parse_thread ~cap (tokens spec)
+
+type spec = { text : string; utility : Utility.t }
+
+let parse_spec ~cap toks =
+  let* utility = parse_thread ~cap toks in
+  Ok { text = String.concat " " toks; utility }
 
 let parse_instance text =
   let lines = String.split_on_char '\n' text in
@@ -139,6 +152,8 @@ let print_thread_spec u =
       | Some (Utility.Spec_exp_saturating { limit; rate }) ->
           Printf.sprintf "expsat %.17g %.17g" limit rate
       | None -> plc_spec (Utility.to_plc u))
+
+let spec_of_utility u = { text = print_thread_spec u; utility = u }
 
 let print_instance (inst : Instance.t) =
   let buf = Buffer.create 1024 in

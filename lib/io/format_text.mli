@@ -32,6 +32,27 @@ val parse_thread_spec :
     [#] comments are tolerated, as in instance files. This is the
     grammar the aa_serve wire protocol embeds in ADMIT / UPDATE. *)
 
+val tokens : string -> string list
+(** The lexical layer of every line-oriented format here (instance
+    files, the service wire protocol and its journal): the line up to
+    the first [#] split on spaces and tabs, empty tokens dropped. *)
+
+(** A utility together with the spec text it was parsed from. The
+    service journals and snapshots [text] verbatim, so a replay parses
+    exactly the bytes the live request parsed. *)
+type spec = { text : string; utility : Aa_utility.Utility.t }
+
+val parse_spec : cap:float -> string list -> (spec, string) result
+(** {!parse_thread_spec} over a line already cut by {!tokens}. [text]
+    is the tokens joined by single spaces — no [#] comment, tab or
+    repeated space survives in it — and parses back to the same
+    utility. *)
+
+val spec_of_utility : Aa_utility.Utility.t -> spec
+(** A spec for a utility built in code: [text] is
+    {!print_thread_spec}'s rendering. Each call prints, so hot paths
+    should carry the text they parsed instead. *)
+
 val print_thread_spec : Aa_utility.Utility.t -> string
 (** Render one utility as a spec string (no [thread] keyword, no
     newline) that {!parse_thread_spec} reparses exactly: smooth shapes

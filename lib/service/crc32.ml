@@ -3,20 +3,20 @@
    native int, so no boxed Int32 round trips on the journal hot path. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let string s =
-  let table = Lazy.force table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+let update crc s =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = 0 to String.length s - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let string s = update 0 s
 
 let to_hex c = Printf.sprintf "%08x" (c land 0xFFFFFFFF)

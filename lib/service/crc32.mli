@@ -10,5 +10,10 @@ val string : string -> int
 (** CRC-32 of the whole string, in [0, 0xFFFFFFFF].
     [string "123456789" = 0xCBF43926]. *)
 
+val update : int -> string -> int
+(** [update (string a) b = string (a ^ b)]: extend a CRC over more
+    bytes, so a payload held in pieces is checksummed without joining
+    them. [string s = update 0 s]. *)
+
 val to_hex : int -> string
 (** Fixed-width lowercase rendering ([%08x]) used in journal framing. *)

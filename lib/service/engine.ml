@@ -7,6 +7,9 @@ let ( let* ) = Result.bind
 
 type t = {
   online : Online.t;
+  texts : string Dynvec.t;
+      (* admission id -> the spec text of the thread's current utility,
+         as parsed: SNAPSHOT writes these bytes back verbatim *)
   metrics : Metrics.t;
   clock : unit -> float;
   journal : Journal.t option;
@@ -68,6 +71,7 @@ let create ?(clock = Aa_obs.Clock.now_s) ?journal ?(journal_retries = 2)
     invalid_arg "Engine.create: coarsen_eps must be finite and >= 0";
   {
     online = Online.create ?policy ~servers ~capacity ();
+    texts = Dynvec.create ();
     metrics = Metrics.create ();
     clock;
     journal;
@@ -158,8 +162,24 @@ let snapshot_entries t =
           id = i;
           server = Online.server_of ol i;
           active = Online.is_active ol i;
-          u = Online.thread_utility ol i;
+          spec = { text = Dynvec.get t.texts i; utility = Online.thread_utility ol i };
         })
+
+(* The three placer mutations, each keeping [texts] in step with the
+   utilities [Online] holds. Shared by live dispatch and replay. *)
+let admit t (s : Aa_io.Format_text.spec) =
+  let server = Online.admit t.online s.utility in
+  Dynvec.push t.texts s.text;
+  server
+
+let admit_to t ~server (s : Aa_io.Format_text.spec) =
+  let i = Online.admit_to t.online ~server s.utility in
+  Dynvec.push t.texts s.text;
+  i
+
+let update t i (s : Aa_io.Format_text.spec) =
+  Online.update_utility t.online i s.utility;
+  Dynvec.set t.texts i s.text
 
 let dispatch t (req : Protocol.request) : Protocol.response =
   Failpoint.crash_if fp_dispatch;
@@ -170,16 +190,16 @@ let dispatch t (req : Protocol.request) : Protocol.response =
      request spent its time. *)
   match req with
   | (Admit _ | Depart _ | Update _) when t.degraded -> reject_degraded t
-  | Admit u ->
-      if not (Aa_obs.Rctx.phase "validate" (fun () -> cap_ok t u)) then
-        cap_err t u
+  | Admit s ->
+      if not (Aa_obs.Rctx.phase "validate" (fun () -> cap_ok t s.utility)) then
+        cap_err t s.utility
       else begin
-        match journal_append t (Journal.Admit u) with
+        match journal_append t (Journal.Admit s) with
         | Error e -> enter_degraded t e
         | Ok () ->
             Failpoint.crash_if fp_apply;
             Aa_obs.Rctx.phase "apply" @@ fun () ->
-            let server = Online.admit ol u in
+            let server = admit t s in
             publish_incremental ol;
             Protocol.Admitted { id = Online.n_admitted ol - 1; server }
       end
@@ -196,23 +216,23 @@ let dispatch t (req : Protocol.request) : Protocol.response =
             publish_incremental ol;
             Protocol.Departed { id = i }
       end
-  | Update (i, u) ->
+  | Update (i, s) ->
       let valid =
         Aa_obs.Rctx.phase "validate" @@ fun () ->
         if not (Online.is_active ol i) then `No_thread
-        else if not (cap_ok t u) then `Bad_cap
+        else if not (cap_ok t s.utility) then `Bad_cap
         else `Ok
       in
       (match valid with
       | `No_thread -> thread_err t i
-      | `Bad_cap -> cap_err t u
+      | `Bad_cap -> cap_err t s.utility
       | `Ok -> (
-          match journal_append t (Journal.Update (i, u)) with
+          match journal_append t (Journal.Update (i, s)) with
           | Error e -> enter_degraded t e
           | Ok () ->
               Failpoint.crash_if fp_apply;
               Aa_obs.Rctx.phase "apply" @@ fun () ->
-              Online.update_utility ol i u;
+              update t i s;
               publish_incremental ol;
               Protocol.Updated { id = i; server = Online.server_of ol i }))
   | Query i ->
@@ -457,9 +477,9 @@ let handle_batch ?ctxs t (reqs : Protocol.request list) : Protocol.response list
 let handle_line t line =
   match Protocol.tokens line with
   | [] -> None
-  | _ :: _ -> (
+  | toks -> (
       let t0 = t.clock () in
-      match Protocol.parse_request ~cap:(capacity t) line with
+      match Protocol.parse_tokens ~cap:(capacity t) toks with
       | Ok req -> Some (handle t req)
       | Error resp ->
           Metrics.record t.metrics ~kind:"malformed" ~ok:false
@@ -469,10 +489,10 @@ let handle_line t line =
 let apply t entry =
   let ol = t.online in
   match entry with
-  | Journal.Admit u ->
-      if not (cap_ok t u) then Error "admit: utility domain cap mismatch"
+  | Journal.Admit s ->
+      if not (cap_ok t s.utility) then Error "admit: utility domain cap mismatch"
       else begin
-        ignore (Online.admit ol u);
+        ignore (admit t s : int);
         Ok ()
       end
   | Journal.Depart i ->
@@ -482,24 +502,24 @@ let apply t entry =
         Online.depart ol i;
         Ok ()
       end
-  | Journal.Update (i, u) ->
+  | Journal.Update (i, s) ->
       if not (Online.is_active ol i) then
         Error (Printf.sprintf "update: unknown or departed thread %d" i)
-      else if not (cap_ok t u) then Error "update: utility domain cap mismatch"
+      else if not (cap_ok t s.utility) then Error "update: utility domain cap mismatch"
       else begin
-        Online.update_utility ol i u;
+        update t i s;
         Ok ()
       end
-  | Journal.Place { id; server; active; u } ->
+  | Journal.Place { id; server; active; spec } ->
       if id <> Online.n_admitted ol then
         Error
           (Printf.sprintf "place: expected id %d, got %d" (Online.n_admitted ol)
              id)
       else if server < 0 || server >= Online.servers ol then
         Error (Printf.sprintf "place: server %d out of range" server)
-      else if not (cap_ok t u) then Error "place: utility domain cap mismatch"
+      else if not (cap_ok t spec.utility) then Error "place: utility domain cap mismatch"
       else begin
-        let i = Online.admit_to ol ~server u in
+        let i = admit_to t ~server spec in
         if not active then Online.depart ol i;
         Ok ()
       end

@@ -151,7 +151,10 @@ val apply : t -> Journal.entry -> (unit, string) result
 val snapshot_entries : t -> Journal.entry list (* aa-lint: ignore unused-export -- snapshot/restore API, exercised via Journal replay *)
 (** Full-state dump, one [Place] per admitted thread in id order;
     replaying it into a fresh engine reproduces servers, allocations and
-    total utility exactly. *)
+    total utility exactly. Each entry carries the spec text the engine
+    stored for that thread (the text of its last ADMIT, UPDATE or
+    replayed entry), so a dump frames stored bytes and prints no
+    utility. *)
 
 val of_journal :
   ?clock:(unit -> float) ->

@@ -1,13 +1,13 @@
-open Aa_utility
 module Failpoint = Aa_fault.Failpoint
+module Format_text = Aa_io.Format_text
 
 let ( let* ) = Result.bind
 
 type entry =
-  | Admit of Utility.t
+  | Admit of Format_text.spec
   | Depart of int
-  | Update of int * Utility.t
-  | Place of { id : int; server : int; active : bool; u : Utility.t }
+  | Update of int * Format_text.spec
+  | Place of { id : int; server : int; active : bool; spec : Format_text.spec }
 
 type header = { servers : int; capacity : float }
 type fsync_policy = Always | Interval of float | Never
@@ -49,28 +49,51 @@ let magic = "aa-journal 2"
 let header_line h =
   Printf.sprintf "%s servers %d capacity %.17g" magic h.servers h.capacity
 
-let print_entry = function
-  | Admit u -> "admit " ^ Aa_io.Format_text.print_thread_spec u
-  | Depart i -> Printf.sprintf "depart %d" i
-  | Update (i, u) ->
-      Printf.sprintf "update %d %s" i (Aa_io.Format_text.print_thread_spec u)
-  | Place { id; server; active; u } ->
-      Printf.sprintf "place %d %d %s %s" id server
-        (if active then "active" else "departed")
-        (Aa_io.Format_text.print_thread_spec u)
+(* An entry's payload as a short prefix plus the spec text it carries
+   verbatim ("" for depart): framing checksums and writes the two parts
+   without joining them, and no utility is ever re-printed. *)
+let payload_parts = function
+  | Admit s -> ("admit ", s.Format_text.text)
+  | Depart i -> ("depart " ^ string_of_int i, "")
+  | Update (i, s) -> ("update " ^ string_of_int i ^ " ", s.text)
+  | Place { id; server; active; spec } ->
+      ( Printf.sprintf "place %d %d %s " id server
+          (if active then "active" else "departed"),
+        spec.text )
+
+let print_entry e =
+  let prefix, text = payload_parts e in
+  prefix ^ text
 
 (* v2 framing: [<len> <crc32> <payload>] — length and CRC of the payload
    text. A torn tail that still tokenizes as a valid entry (the v1
    hazard: "depart 12" losing its last byte reads as "depart 1") cannot
-   pass both checks. *)
+   pass both checks. [frame_head] is the "<len> <crc32> " before the
+   payload parts. *)
+let frame_head prefix text =
+  let crc = Crc32.update (Crc32.string prefix) text in
+  Printf.sprintf "%d %s " (String.length prefix + String.length text) (Crc32.to_hex crc)
+
 let frame_entry e =
-  let payload = print_entry e in
-  Printf.sprintf "%d %s %s" (String.length payload) (Crc32.string payload |> Crc32.to_hex) payload
+  let prefix, text = payload_parts e in
+  String.concat "" [ frame_head prefix text; prefix; text ]
+
+(* Hand the framed line, newline included, to [add] piece by piece —
+   straight into a group buffer or channel, with no joined copy of the
+   payload — and return its byte length. *)
+let output_frame add e =
+  let prefix, text = payload_parts e in
+  let head = frame_head prefix text in
+  add head;
+  add prefix;
+  add text;
+  add "\n";
+  String.length head + String.length prefix + String.length text + 1
 
 let parse_entry ~cap line =
   let spec_of toks k =
-    match Aa_io.Format_text.parse_thread_spec ~cap (String.concat " " toks) with
-    | Ok u -> k u
+    match Format_text.parse_spec ~cap toks with
+    | Ok s -> k s
     | Error e -> Error e
   in
   let int_of what tok k =
@@ -80,21 +103,21 @@ let parse_entry ~cap line =
   in
   match Protocol.tokens line with
   | [] -> Ok None
-  | "admit" :: (_ :: _ as toks) -> spec_of toks (fun u -> Ok (Some (Admit u)))
+  | "admit" :: (_ :: _ as toks) -> spec_of toks (fun s -> Ok (Some (Admit s)))
   | [ "depart"; tok ] -> int_of "depart" tok (fun i -> Ok (Some (Depart i)))
   | "update" :: tok :: (_ :: _ as toks) ->
       int_of "update" tok (fun i ->
-          spec_of toks (fun u -> Ok (Some (Update (i, u)))))
+          spec_of toks (fun s -> Ok (Some (Update (i, s)))))
   | "place" :: id :: server :: status :: (_ :: _ as toks) ->
       int_of "place id" id (fun id ->
           int_of "place server" server (fun server ->
               match status with
               | "active" ->
-                  spec_of toks (fun u ->
-                      Ok (Some (Place { id; server; active = true; u })))
+                  spec_of toks (fun spec ->
+                      Ok (Some (Place { id; server; active = true; spec })))
               | "departed" ->
-                  spec_of toks (fun u ->
-                      Ok (Some (Place { id; server; active = false; u })))
+                  spec_of toks (fun spec ->
+                      Ok (Some (Place { id; server; active = false; spec })))
               | s -> Error (Printf.sprintf "place: bad status %S" s)))
   | verb :: _ -> Error ("unknown journal entry: " ^ verb)
 
@@ -286,9 +309,7 @@ let rewrite ~fsync ~path ~header entries =
            ( Out_channel.output_string oc (header_line header);
              Out_channel.output_char oc '\n';
              List.iter
-               (fun e ->
-                 Out_channel.output_string oc (frame_entry e);
-                 Out_channel.output_char oc '\n')
+               (fun e -> ignore (output_frame (Out_channel.output_string oc) e : int))
                entries;
              Out_channel.flush oc;
              if fsync <> Never then fsync_oc oc )
@@ -342,7 +363,6 @@ let repair_tail t =
 let append t entry =
   if Failpoint.fire fp_append then Error "injected fault: journal.append"
   else
-    let line = frame_entry entry ^ "\n" in
     match t.group with
     | Some buf ->
         (* group mode: no file I/O here — the entry only reaches the OS
@@ -353,13 +373,14 @@ let append t entry =
         if Failpoint.fire fp_append_torn then
           Error "injected fault: journal.append.torn"
         else begin
-          Buffer.add_string buf line;
+          ignore (output_frame (Buffer.add_string buf) entry : int);
           Ok ()
         end
     | None ->
     if Failpoint.fire fp_append_torn then begin
       (* simulate a crash mid-write: half the framed line reaches the
          file, the request errors, and the tail is marked for repair *)
+      let line = frame_entry entry ^ "\n" in
       (match
          (Out_channel.output_string t.oc
             (String.sub line 0 (String.length line / 2));
@@ -374,10 +395,10 @@ let append t entry =
       sys_guard (fun () ->
           repair_tail t;
           t.dirty_tail <- true;
-          Out_channel.output_string t.oc line;
+          let n = output_frame (Out_channel.output_string t.oc) entry in
           Out_channel.flush t.oc;
           maybe_sync t;
-          t.good_pos <- t.good_pos + String.length line;
+          t.good_pos <- t.good_pos + n;
           t.dirty_tail <- false)
 
 (* ---------- group commit ---------- *)

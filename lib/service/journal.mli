@@ -29,6 +29,16 @@
     [place] lines only appear as the snapshot prefix written by
     {!compact}; ids must then be consecutive from 0.
 
+    Each [<utility-spec>] is the {!Aa_io.Format_text.spec} text the
+    entry carries, written verbatim: for a wire request that is the
+    request's spec tokens joined by single spaces, and a SNAPSHOT writes
+    back the text each thread's current utility was parsed from. No
+    utility is re-printed, and replay parses exactly the bytes the live
+    request parsed, so replayed state equals live state by
+    construction. Journals written by older builds, which re-printed
+    every utility with [%.17g], replay to the same state: parsing that
+    print gives back the parsed utility bit for bit.
+
     Durability is line-grained: every {!append} flushes, and the
     {!fsync_policy} chosen at open decides how often the OS is told to
     reach the platter. A final line torn by a crash mid-write (no
@@ -62,10 +72,12 @@
 type t
 
 type entry =
-  | Admit of Aa_utility.Utility.t
+  | Admit of Aa_io.Format_text.spec
   | Depart of int
-  | Update of int * Aa_utility.Utility.t
-  | Place of { id : int; server : int; active : bool; u : Aa_utility.Utility.t }
+  | Update of int * Aa_io.Format_text.spec
+  | Place of { id : int; server : int; active : bool; spec : Aa_io.Format_text.spec }
+(** Each spec carries the utility and the text it was parsed from; the
+    text is what gets written. *)
 
 type header = { servers : int; capacity : float }
 
@@ -151,13 +163,16 @@ val pending_bytes : t -> int
 val close : t -> unit
 
 val print_entry : entry -> string
-(** The unframed payload text of an entry. *)
+(** The unframed payload text of an entry: a short prefix ([admit ],
+    [update <id> ], ...) joined to the spec text; nothing is printed
+    from the utility. *)
 
 val frame_entry : entry -> string
 (** The full v2 line for an entry: [<len> <crc32> <payload>]. *)
 
 val parse_entry : cap:float -> string -> (entry option, string) result
-(** Parse an unframed payload. [Ok None] for blank or comment lines. *)
+(** Parse an unframed payload, tokenizing it once. [Ok None] for blank
+    or comment lines. *)
 
 val fsync_of_string : string -> (fsync_policy, string) result
 (** ["always"], ["interval"] (0.1 s) or ["never"] — the [--fsync]

@@ -1,9 +1,7 @@
-open Aa_utility
-
 type request =
-  | Admit of Utility.t
+  | Admit of Aa_io.Format_text.spec
   | Depart of int
-  | Update of int * Utility.t
+  | Update of int * Aa_io.Format_text.spec
   | Query of int
   | Stats
   | Snapshot
@@ -43,23 +41,15 @@ let code_name = function
   | Journal_failed -> "journal"
   | Degraded -> "degraded"
 
-let tokens line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+let tokens = Aa_io.Format_text.tokens
 
-let parse_request ~cap line =
+let parse_tokens ~cap toks =
   let fail code fmt =
     Printf.ksprintf (fun message -> Result.Error (Err { code; message })) fmt
   in
   let spec_of toks k =
-    match Aa_io.Format_text.parse_thread_spec ~cap (String.concat " " toks) with
-    | Ok u -> k u
+    match Aa_io.Format_text.parse_spec ~cap toks with
+    | Ok s -> k s
     | Error e -> fail Bad_spec "%s" e
   in
   let id_of verb tok k =
@@ -67,19 +57,19 @@ let parse_request ~cap line =
     | Some i -> k i
     | None -> fail Bad_request "%s: %S is not a thread id" verb tok
   in
-  match tokens line with
+  match toks with
   | [] -> fail Bad_request "empty request"
   | [ "STATS" ] -> Ok Stats
   | [ "SNAPSHOT" ] -> Ok Snapshot
   | [ "REBALANCE" ] -> Ok Rebalance
   | [ "TRACE" ] -> Ok Trace
   | [ "SLOW" ] -> Ok Slow
-  | "ADMIT" :: (_ :: _ as spec) -> spec_of spec (fun u -> Ok (Admit u))
+  | "ADMIT" :: (_ :: _ as spec) -> spec_of spec (fun s -> Ok (Admit s))
   | [ "ADMIT" ] -> fail Bad_request "usage: ADMIT <utility-spec>"
   | [ "DEPART"; tok ] -> id_of "DEPART" tok (fun i -> Ok (Depart i))
   | "DEPART" :: _ -> fail Bad_request "usage: DEPART <id>"
   | "UPDATE" :: tok :: (_ :: _ as spec) ->
-      id_of "UPDATE" tok (fun i -> spec_of spec (fun u -> Ok (Update (i, u))))
+      id_of "UPDATE" tok (fun i -> spec_of spec (fun s -> Ok (Update (i, s))))
   | "UPDATE" :: _ -> fail Bad_request "usage: UPDATE <id> <utility-spec>"
   | [ "QUERY"; tok ] -> id_of "QUERY" tok (fun i -> Ok (Query i))
   | "QUERY" :: _ -> fail Bad_request "usage: QUERY <id>"
@@ -87,11 +77,12 @@ let parse_request ~cap line =
       fail Bad_request "STATS, SNAPSHOT, REBALANCE, TRACE and SLOW take no arguments"
   | verb :: _ -> fail Bad_request "unknown request: %s" verb
 
+let parse_request ~cap line = parse_tokens ~cap (tokens line)
+
 let print_request = function
-  | Admit u -> "ADMIT " ^ Aa_io.Format_text.print_thread_spec u
+  | Admit s -> "ADMIT " ^ s.text
   | Depart i -> Printf.sprintf "DEPART %d" i
-  | Update (i, u) ->
-      Printf.sprintf "UPDATE %d %s" i (Aa_io.Format_text.print_thread_spec u)
+  | Update (i, s) -> Printf.sprintf "UPDATE %d %s" i s.text
   | Query i -> Printf.sprintf "QUERY %d" i
   | Stats -> "STATS"
   | Snapshot -> "SNAPSHOT"

@@ -30,9 +30,12 @@
     parses to a ready-to-send [Err] response — it can never raise. *)
 
 type request =
-  | Admit of Aa_utility.Utility.t
+  | Admit of Aa_io.Format_text.spec
+      (** the parsed utility and the spec text it came from: the journal
+          writes that text as is, so replay parses the bytes this
+          request parsed *)
   | Depart of int
-  | Update of int * Aa_utility.Utility.t
+  | Update of int * Aa_io.Format_text.spec
   | Query of int
   | Stats
   | Snapshot
@@ -83,15 +86,23 @@ type response =
 
 val tokens : string -> string list
 (** Whitespace-split with [#]-to-end-of-line comments removed — the
-    lexical layer shared by requests and journal lines. *)
+    lexical layer shared by requests and journal lines
+    ({!Aa_io.Format_text.tokens}). *)
+
+val parse_tokens : cap:float -> string list -> (request, response) result
+(** Parse a request line already cut by {!tokens}, so a caller that
+    tokenized it (to skip blank lines) does not tokenize it twice. An
+    empty list is a [bad-request] error. *)
 
 val parse_request : cap:float -> string -> (request, response) result
-(** [cap] is the server capacity, used as the domain cap of smooth
-    utility specs. The error branch is always an {!Err} response, ready
-    to print. *)
+(** [parse_tokens ~cap (tokens line)]. [cap] is the server capacity,
+    used as the domain cap of smooth utility specs. The error branch is
+    always an {!Err} response, ready to print. *)
 
 val print_request : request -> string
-(** Canonical wire form; [parse_request] inverts it. *)
+(** Wire form: ADMIT and UPDATE carry their spec's [text] as it was
+    parsed (or as {!Aa_io.Format_text.spec_of_utility} printed it), not
+    a re-print of the utility; [parse_request] inverts it. *)
 
 val print_response : response -> string
 (** One line, newline-free (embedded newlines in error messages are

@@ -600,9 +600,9 @@ let submit t req = await t (post t req)
 let post_line ?conn t line =
   match Protocol.tokens line with
   | [] -> `Blank
-  | _ :: _ -> (
+  | toks -> (
       let t0 = t.clock () in
-      match Protocol.parse_request ~cap:(capacity t) line with
+      match Protocol.parse_tokens ~cap:(capacity t) toks with
       | Ok req -> `Ticket (post ?conn t req)
       | Error resp ->
           Mutex.lock t.mlock;

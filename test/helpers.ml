@@ -7,6 +7,11 @@ let check_float ?(eps = 1e-9) msg expected actual =
   if not (Util.approx_equal ~eps expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
+(* Bit equality, for results that must be identical, not merely close. *)
+let check_bits msg expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: expected %h, got %h" msg expected actual
+
 let check_le ?(eps = 1e-9) msg a b =
   if a > b +. (eps *. Float.max 1.0 (Float.abs b)) then
     Alcotest.failf "%s: %.12g should be <= %.12g" msg a b

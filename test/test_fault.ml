@@ -12,6 +12,7 @@ module Failpoint = Aa_fault.Failpoint
 let cap = 10.0
 let u_pow = Utility.Shapes.power ~cap ~coeff:4.0 ~beta:0.5
 let u_log = Utility.Shapes.log_utility ~cap ~coeff:3.0 ~rate:1.0
+let spec = Aa_io.Format_text.spec_of_utility
 let or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 let unit_or_fail (r : (unit, string) result) = or_fail r
 
@@ -137,6 +138,9 @@ let test_crc32_known_answer () =
   Alcotest.(check string) "hex form" "cbf43926"
     (Crc32.to_hex (Crc32.string "123456789"));
   Alcotest.(check int) "empty string" 0 (Crc32.string "");
+  (* framing checksums a payload in two parts *)
+  Alcotest.(check int) "update extends" 0xCBF43926
+    (Crc32.update (Crc32.string "1234") "56789");
   if Crc32.string "depart 12" = Crc32.string "depart 1" then
     Alcotest.fail "prefix collision: the framing check would be useless"
 
@@ -146,7 +150,7 @@ let test_create_refuses_clobber () =
   let path = Filename.temp_file "aa_fault_clobber" ".log" in
   (* an existing *empty* file (the temp_file idiom) is fine *)
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
-  unit_or_fail (Journal.append j (Journal.Admit u_pow));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_pow)));
   Journal.close j;
   (match Journal.create ~path ~servers:2 ~capacity:cap () with
   | Ok _ -> Alcotest.fail "create silently clobbered an existing journal"
@@ -156,7 +160,7 @@ let test_create_refuses_clobber () =
   (* and the refusal really did leave the file alone *)
   let _, entries = or_fail (Journal.load ~path) in
   Alcotest.(check (list string)) "history preserved"
-    [ Journal.print_entry (Journal.Admit u_pow) ]
+    [ Journal.print_entry (Journal.Admit (spec u_pow)) ]
     (List.map Journal.print_entry entries);
   Sys.remove path
 
@@ -164,12 +168,12 @@ let test_compact_failure_keeps_appending () =
   with_faults @@ fun () ->
   let path = Filename.temp_file "aa_fault_compact" ".log" in
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
-  unit_or_fail (Journal.append j (Journal.Admit u_pow));
-  unit_or_fail (Journal.append j (Journal.Admit u_log));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_pow)));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_log)));
   Failpoint.arm "journal.rewrite" (Failpoint.Every 1);
   (match
      Journal.compact j
-       [ Journal.Place { id = 0; server = 0; active = true; u = u_pow } ]
+       [ Journal.Place { id = 0; server = 0; active = true; spec = spec u_pow } ]
    with
   | Ok () -> Alcotest.fail "compact should fail under journal.rewrite"
   | Error _ -> ());
@@ -183,13 +187,13 @@ let test_compact_failure_keeps_appending () =
   (* and compaction itself still works once the fault clears *)
   unit_or_fail
     (Journal.compact j
-       [ Journal.Place { id = 0; server = 1; active = false; u = u_pow } ]);
-  unit_or_fail (Journal.append j (Journal.Admit u_log));
+       [ Journal.Place { id = 0; server = 1; active = false; spec = spec u_pow } ]);
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_log)));
   Journal.close j;
   let _, entries = or_fail (Journal.load ~path) in
   Alcotest.(check (list string)) "compacted state + later appends"
     [ "place 0 1 departed " ^ Aa_io.Format_text.print_thread_spec u_pow;
-      Journal.print_entry (Journal.Admit u_log) ]
+      Journal.print_entry (Journal.Admit (spec u_log)) ]
     (List.map Journal.print_entry entries);
   Sys.remove path
 
@@ -200,7 +204,7 @@ let test_compact_failure_keeps_appending () =
 let test_torn_tail_cannot_masquerade () =
   let path = Filename.temp_file "aa_fault_torn" ".log" in
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
-  unit_or_fail (Journal.append j (Journal.Admit u_pow));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_pow)));
   unit_or_fail (Journal.append j (Journal.Depart 12));
   Journal.close j;
   (* tear the last two bytes off ("2\n"): the remaining payload is the
@@ -211,7 +215,7 @@ let test_torn_tail_cannot_masquerade () =
         (String.sub bytes 0 (String.length bytes - 2)));
   let _, entries = or_fail (Journal.load ~path) in
   Alcotest.(check (list string)) "torn depart dropped, not misread"
-    [ Journal.print_entry (Journal.Admit u_pow) ]
+    [ Journal.print_entry (Journal.Admit (spec u_pow)) ]
     (List.map Journal.print_entry entries);
   (* contrast: the same tear in a v1 journal IS silently misread — kept
      here as documentation of what the framing buys *)
@@ -239,12 +243,12 @@ let test_v1_read_compat_and_upgrade () =
   let j, recovered = or_fail (Journal.append_to ~fsync:Journal.Never ~path ()) in
   Alcotest.(check int) "append_to recovers both entries" 2
     (List.length recovered);
-  unit_or_fail (Journal.append j (Journal.Admit u_log));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_log)));
   Journal.close j;
   let v, _, entries = or_fail (Journal.load_versioned ~path) in
   Alcotest.(check int) "now version 2 on disk" 2 v;
   Alcotest.(check (list string)) "entries survive the upgrade"
-    [ "admit power 4 0.5"; "depart 0"; Journal.print_entry (Journal.Admit u_log) ]
+    [ "admit power 4 0.5"; "depart 0"; Journal.print_entry (Journal.Admit (spec u_log)) ]
     (List.map Journal.print_entry entries);
   (* framed lines really are framed: line 2 must equal frame_entry *)
   let lines =
@@ -262,7 +266,7 @@ let test_append_failure_repairs_tail () =
   with_faults @@ fun () ->
   let path = Filename.temp_file "aa_fault_tail" ".log" in
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
-  unit_or_fail (Journal.append j (Journal.Admit u_pow));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_pow)));
   Failpoint.arm "journal.append.torn" (Failpoint.Nth 1);
   (match Journal.append j (Journal.Depart 0) with
   | Ok () -> Alcotest.fail "torn append should report failure"
@@ -273,7 +277,7 @@ let test_append_failure_repairs_tail () =
   Journal.close j;
   let _, entries = or_fail (Journal.load ~path) in
   Alcotest.(check (list string)) "no duplicate, no corruption"
-    [ Journal.print_entry (Journal.Admit u_pow); "depart 0" ]
+    [ Journal.print_entry (Journal.Admit (spec u_pow)); "depart 0" ]
     (List.map Journal.print_entry entries);
   Sys.remove path
 
@@ -303,8 +307,8 @@ let test_group_commit_amortizes_fsyncs () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "nested begin_group accepted");
   let before = Journal.fsyncs j in
-  unit_or_fail (Journal.append j (Journal.Admit u_pow));
-  unit_or_fail (Journal.append j (Journal.Admit u_log));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_pow)));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_log)));
   unit_or_fail (Journal.append j (Journal.Depart 0));
   Alcotest.(check int) "no fsync while buffering" before (Journal.fsyncs j);
   (match Journal.commit_group j with
@@ -325,7 +329,7 @@ let test_group_commit_amortizes_fsyncs () =
   let _, entries = or_fail (Journal.load ~path) in
   Alcotest.(check (list string)) "all three entries durable, in order"
     (List.map Journal.print_entry
-       [ Journal.Admit u_pow; Journal.Admit u_log; Journal.Depart 0 ])
+       [ Journal.Admit (spec u_pow); Journal.Admit (spec u_log); Journal.Depart 0 ])
     (List.map Journal.print_entry entries);
   Sys.remove path
 
@@ -347,7 +351,7 @@ let expect_err code e line =
       Alcotest.(check string) line code (Protocol.code_name c)
   | r -> Alcotest.failf "%S succeeded: %s" line (Protocol.print_response r)
 
-let admit e u = Engine.handle e (Protocol.Admit u)
+let admit e u = Engine.handle e (Protocol.Admit (spec u))
 
 let test_cap_tolerance_boundaries () =
   (* feq_rel itself *)
@@ -435,7 +439,7 @@ let test_degraded_lifecycle () =
   ignore (expect_ok e "ADMIT power 2 0.5");
   (* the journal holds exactly the surviving state *)
   let replayed = or_fail (Engine.of_journal ~fsync:Journal.Never ~path ()) in
-  Helpers.check_float "replay sees the healed state" (Engine.total_utility e)
+  Helpers.check_bits "replay sees the healed state" (Engine.total_utility e)
     (Engine.total_utility replayed);
   (match Engine.journal replayed with Some j2 -> Journal.close j2 | None -> ());
   Journal.close j;
@@ -498,12 +502,9 @@ let check_state msg a b =
   Alcotest.(check int) (msg ^ ": n_admitted") a.n b.n;
   Alcotest.(check (array int)) (msg ^ ": servers") a.where b.where;
   Array.iteri
-    (fun i x ->
-      Helpers.check_float ~eps:1e-9
-        (Printf.sprintf "%s: alloc of %d" msg i)
-        x b.allocs.(i))
+    (fun i x -> Helpers.check_bits (Printf.sprintf "%s: alloc of %d" msg i) x b.allocs.(i))
     a.allocs;
-  Helpers.check_float ~eps:1e-9 (msg ^ ": total utility") a.total b.total
+  Helpers.check_bits (msg ^ ": total utility") a.total b.total
 
 let random_spec rng =
   match Rng.int rng 4 with

@@ -209,6 +209,96 @@ let prop_assignment_roundtrip =
           b.server = a.server
           && Array.for_all2 (fun x y -> x = y) a.alloc b.alloc)
 
+(* Journals written before the service kept spec text held
+   [print_thread_spec] re-prints; journals written now hold the
+   request's own tokens. Both must replay to the same state, so for raw
+   specs of every kind — tabs, repeated spaces, [#] comments, assorted
+   float spellings — [parse raw], [parse (print (parse raw))] and
+   [parse text] must be bit-identical utilities. *)
+let same_utility u v =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let same_points p q =
+    let p = Plc.points p and q = Plc.points q in
+    Array.length p = Array.length q
+    && Array.for_all2 (fun (x, y) (x', y') -> same x x' && same y y') p q
+  in
+  let same_form =
+    match (u, v) with
+    | Utility.Plc p, Utility.Plc q -> same_points p q
+    | Utility.Smooth a, Utility.Smooth b ->
+        a.name = b.name && same a.cap b.cap && compare a.spec b.spec = 0
+    | Utility.Plc _, Utility.Smooth _ | Utility.Smooth _, Utility.Plc _ -> false
+  in
+  same_form
+  && same_points (Utility.to_plc u) (Utility.to_plc v)
+  && List.for_all
+       (fun k ->
+         let x = Utility.cap u *. float_of_int k /. 16.0 in
+         same (Utility.eval u x) (Utility.eval v x))
+       (List.init 17 Fun.id)
+
+(* Reference tokenizer for the one-pass scanner: split, split, filter. *)
+let reference_tokens line =
+  let line =
+    match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line
+  in
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun s -> s <> "")
+
+let gen_raw_spec ~cap =
+  QCheck2.Gen.(
+    (* any spelling for closed-form parameters; exact ones for PLC
+       breakpoints, whose concavity a rounded spelling could break *)
+    let spell exact x =
+      map
+        (fun f -> f x)
+        (oneofl
+           (if exact then [ Printf.sprintf "%.17g"; Printf.sprintf "%h"; Printf.sprintf "%.17e" ]
+            else
+              [ Printf.sprintf "%.17g"; Printf.sprintf "%h"; Printf.sprintf "%g";
+                Printf.sprintf "%.4f"; Printf.sprintf "%.6e"; string_of_float ]))
+    in
+    let* kind = int_range 0 6 in
+    let* a = float_range 0.5 8.0 in
+    let* b = float_range 0.1 1.0 in
+    let* nums =
+      match kind with
+      | 0 ->
+          let* parts = Helpers.gen_plc_parts in
+          let pts = Plc.points (Helpers.plc_of_parts parts) in
+          flatten_l
+            (List.concat_map (fun (x, y) -> [ spell true x; spell true y ]) (Array.to_list pts))
+      | 1 -> flatten_l [ spell false a; spell false b ]
+      | 2 | 3 | 4 -> flatten_l [ spell false a; spell false (b *. 2.0) ]
+      | 5 -> flatten_l [ spell false a; spell false (cap *. b) ]
+      | _ -> flatten_l [ spell false a ]
+    in
+    let word = List.nth [ "plc"; "power"; "log"; "saturating"; "expsat"; "capped"; "linear" ] kind in
+    let* seps = list_repeat (List.length nums) (oneofl [ " "; "  "; "\t"; " \t "; "\t\t" ]) in
+    let* lead = oneofl [ ""; " "; "\t" ] in
+    let* tail = oneofl [ ""; " "; "\t"; " # a comment 1 2"; "#x"; "\t#\tplc 9" ] in
+    return (lead ^ word ^ String.concat "" (List.map2 ( ^ ) seps nums) ^ tail))
+
+let prop_spec_text_replays_like_print =
+  let cap = 10.0 in
+  QCheck2.Test.make ~name:"parse raw = parse (print (parse raw)) = parse text, bit for bit"
+    ~count:300 ~print:(Printf.sprintf "%S") (gen_raw_spec ~cap) (fun raw ->
+      let toks = Format_text.tokens raw in
+      toks = reference_tokens raw
+      &&
+      match Format_text.parse_spec ~cap toks with
+      | Error e -> QCheck2.Test.fail_reportf "%S rejected: %s" raw e
+      | Ok s -> (
+          match
+            ( Format_text.parse_thread_spec ~cap (Format_text.print_thread_spec s.utility),
+              Format_text.parse_thread_spec ~cap s.text )
+          with
+          | Ok printed, Ok text ->
+              same_utility s.utility printed && same_utility s.utility text
+              && Format_text.tokens s.text = toks
+          | Error e, _ | _, Error e -> QCheck2.Test.fail_reportf "%S: reparse: %s" raw e))
+
 let () =
   Alcotest.run "io"
     [
@@ -232,5 +322,10 @@ let () =
           Alcotest.test_case "gap rejected" `Quick test_assignment_gap_rejected;
         ] );
       Helpers.qsuite "properties"
-        [ prop_thread_spec_roundtrip; prop_instance_roundtrip; prop_assignment_roundtrip ];
+        [
+          prop_thread_spec_roundtrip;
+          prop_instance_roundtrip;
+          prop_assignment_roundtrip;
+          prop_spec_text_replays_like_print;
+        ];
     ]

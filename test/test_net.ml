@@ -10,6 +10,7 @@ module Listener = Aa_net.Listener
 
 let cap = 10.0
 let u_pow = Utility.Shapes.power ~cap ~coeff:4.0 ~beta:0.5
+let spec = Aa_io.Format_text.spec_of_utility
 let or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 
 let contains ~needle hay =
@@ -102,7 +103,7 @@ let test_shard_routing () =
      (g = l*n + s), servers land in the owning shard's block *)
   List.iteri
     (fun i (want_id, lo, hi) ->
-      match submit_ok sh (Protocol.Admit u_pow) with
+      match submit_ok sh (Protocol.Admit (spec u_pow)) with
       | Protocol.Admitted { id; server } ->
           Alcotest.(check int) (Printf.sprintf "admit %d id" i) want_id id;
           if server < lo || server >= hi then
@@ -266,7 +267,7 @@ let test_rebalance_rid_trace () =
   @@ fun () ->
   let sh = make_shard ~servers:8 ~shards:4 () in
   for _ = 1 to 8 do
-    ignore (submit_ok sh (Protocol.Admit u_pow))
+    ignore (submit_ok sh (Protocol.Admit (spec u_pow)))
   done;
   (match submit_ok sh Protocol.Rebalance with
   | Protocol.Rebalance_report _ -> ()

@@ -746,7 +746,8 @@ let test_engine_phase_spans () =
     Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 ()
   in
   let resp = Aa_service.Engine.handle engine (Aa_service.Protocol.Admit
-    (Aa_utility.Utility.Shapes.power ~cap:10.0 ~coeff:1.0 ~beta:0.5)) in
+    (Aa_io.Format_text.spec_of_utility
+       (Aa_utility.Utility.Shapes.power ~cap:10.0 ~coeff:1.0 ~beta:0.5))) in
   (match resp with
   | Aa_service.Protocol.Admitted _ -> ()
   | r -> Alcotest.failf "unexpected response %s" (Aa_service.Protocol.print_response r));
@@ -769,7 +770,8 @@ let test_engine_trace_request () =
   ignore
     (Aa_service.Engine.handle engine
        (Aa_service.Protocol.Admit
-          (Aa_utility.Utility.Shapes.power ~cap:10.0 ~coeff:1.0 ~beta:0.5)));
+          (Aa_io.Format_text.spec_of_utility
+             (Aa_utility.Utility.Shapes.power ~cap:10.0 ~coeff:1.0 ~beta:0.5))));
   match Aa_service.Engine.handle engine Aa_service.Protocol.Trace with
   | Aa_service.Protocol.Trace_dump { events; json } ->
       Alcotest.(check bool) "has events" true (events > 0);

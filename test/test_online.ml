@@ -411,6 +411,36 @@ let prop_online_below_superopt =
       let so = Superopt.compute inst in
       Assignment.utility inst a <= so.utility +. (1e-6 *. Float.max 1.0 so.utility))
 
+(* [n_active] is a counter maintained by admit/admit_to/depart; over
+   random admit/depart/update sequences (every policy, including Auto
+   re-solves) it must equal a scan of the live set after every step. *)
+let prop_n_active_counter =
+  QCheck2.Test.make ~name:"online: n_active counter = scan" ~count:200
+    QCheck2.Gen.(
+      let* m = int_range 1 4 in
+      let* capv = float_range 2.0 40.0 in
+      let* policy = oneofl [ Online.Full; Online.Incremental; Online.Auto { frac = 0.9 } ] in
+      let* ops =
+        list_size (int_range 1 40)
+          (let* kind = int_range 0 4 in
+           let* pick = int_range 0 1000 in
+           let* u = Helpers.gen_utility_with_cap capv in
+           return (kind, pick, u))
+      in
+      return (m, capv, policy, ops))
+    (fun (m, capv, policy, ops) ->
+      let t = Online.create ~policy ~servers:m ~capacity:capv () in
+      List.for_all
+        (fun (kind, pick, u) ->
+          let ids = Online.active_ids t in
+          let n_act = Array.length ids in
+          (if n_act = 0 || kind <= 1 then ignore (Online.admit t u)
+           else if kind = 2 then ignore (Online.admit_to t ~server:(pick mod m) u)
+           else if kind = 3 then Online.depart t ids.(pick mod n_act)
+           else Online.update_utility t ids.(pick mod n_act) u);
+          Online.n_active t = Array.length (Online.active_ids t))
+        ops)
+
 let () =
   Alcotest.run "online"
     [
@@ -442,5 +472,10 @@ let () =
       ( "quality",
         [ Alcotest.test_case "close to offline" `Slow test_online_close_to_offline_on_random ] );
       Helpers.qsuite "properties"
-        [ prop_online_feasible; prop_online_below_superopt; prop_incremental_matches_full ];
+        [
+          prop_online_feasible;
+          prop_online_below_superopt;
+          prop_incremental_matches_full;
+          prop_n_active_counter;
+        ];
     ]

@@ -8,6 +8,7 @@ open Aa_core
 open Aa_service
 
 let cap = 10.0
+let spec = Aa_io.Format_text.spec_of_utility
 
 (* ---------- protocol ---------- *)
 
@@ -23,11 +24,11 @@ let check_err expect s =
 let test_request_roundtrip () =
   let reqs =
     [
-      Protocol.Admit (Utility.Shapes.power ~cap ~coeff:4.0 ~beta:0.5);
-      Protocol.Admit (Utility.Shapes.saturating ~cap ~limit:8.0 ~halfway:2.0);
-      Protocol.Admit (Utility.Shapes.linear ~cap ~slope:1.5);
+      Protocol.Admit (spec (Utility.Shapes.power ~cap ~coeff:4.0 ~beta:0.5));
+      Protocol.Admit (spec (Utility.Shapes.saturating ~cap ~limit:8.0 ~halfway:2.0));
+      Protocol.Admit (spec (Utility.Shapes.linear ~cap ~slope:1.5));
       Protocol.Depart 3;
-      Protocol.Update (2, Utility.Shapes.log_utility ~cap ~coeff:3.0 ~rate:1.0);
+      Protocol.Update (2, spec (Utility.Shapes.log_utility ~cap ~coeff:3.0 ~rate:1.0));
       Protocol.Query 7;
       Protocol.Stats;
       Protocol.Snapshot;
@@ -157,12 +158,12 @@ let test_journal_roundtrip () =
   let path = Filename.temp_file "aa_journal" ".log" in
   let entries =
     [
-      Journal.Admit u_pow;
-      Journal.Admit u_log;
+      Journal.Admit (spec u_pow);
+      Journal.Admit (spec u_log);
       Journal.Depart 0;
-      Journal.Update (1, u_pow);
-      Journal.Place { id = 0; server = 1; active = false; u = u_pow };
-      Journal.Place { id = 1; server = 0; active = true; u = u_log };
+      Journal.Update (1, spec u_pow);
+      Journal.Place { id = 0; server = 1; active = false; spec = spec u_pow };
+      Journal.Place { id = 1; server = 0; active = true; spec = spec u_log };
     ]
   in
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
@@ -179,7 +180,7 @@ let test_journal_roundtrip () =
 let test_journal_torn_tail () =
   let path = Filename.temp_file "aa_journal" ".log" in
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
-  unit_or_fail (Journal.append j (Journal.Admit u_pow));
+  unit_or_fail (Journal.append j (Journal.Admit (spec u_pow)));
   Journal.close j;
   (* simulate a crash mid-append: a partial final line, no newline *)
   let oc = Out_channel.open_gen [ Open_append; Open_wronly; Open_text ] 0o644 path in
@@ -195,7 +196,7 @@ let test_journal_torn_tail () =
   Journal.close j;
   let _, got = or_fail (Journal.load ~path) in
   Alcotest.(check (list string)) "clean after reopen"
-    [ Journal.print_entry (Journal.Admit u_pow); "depart 0" ]
+    [ Journal.print_entry (Journal.Admit (spec u_pow)); "depart 0" ]
     (List.map Journal.print_entry got);
   Sys.remove path
 
@@ -360,7 +361,7 @@ let test_engine_auto_policy_replay () =
   | Error msg -> Alcotest.failf "replay: %s" msg
   | Ok e2 ->
       Alcotest.(check int) "replayed re-solves" (Engine.resolves e) (Engine.resolves e2);
-      Helpers.check_float "replayed total" (Engine.total_utility e)
+      Helpers.check_bits "replayed total" (Engine.total_utility e)
         (Engine.total_utility e2);
       let ol = Engine.online e and ol2 = Engine.online e2 in
       for i = 0 to Engine.n_admitted e - 1 do
@@ -389,7 +390,7 @@ let test_engine_slow_verb () =
       (* a request dispatched under a context and finished lands in the
          keep-list (threshold 0 captures everything) *)
       let c = Rctx.create ~kind:"admit" ~conn:0 in
-      (match Engine.handle_batch ~ctxs:[| Some c |] e [ Protocol.Admit u_pow ] with
+      (match Engine.handle_batch ~ctxs:[| Some c |] e [ Protocol.Admit (spec u_pow) ] with
       | [ Protocol.Admitted _ ] -> ()
       | rs ->
           Alcotest.failf "unexpected batch: %s"
@@ -486,7 +487,7 @@ let test_fuzz_never_kills_engine () =
   (match Engine.of_journal ~path () with
   | Error msg -> Alcotest.failf "replay after fuzz: %s" msg
   | Ok e2 ->
-      Helpers.check_float "state survives" (Engine.total_utility e)
+      Helpers.check_bits "state survives" (Engine.total_utility e)
         (Engine.total_utility e2);
       (match Engine.journal e2 with Some j2 -> Journal.close j2 | None -> ()));
   Journal.close j;
@@ -515,11 +516,9 @@ let check_state msg a b =
   Alcotest.(check int) (msg ^ ": n_admitted") a.n b.n;
   Alcotest.(check (array int)) (msg ^ ": servers") a.where b.where;
   Array.iteri
-    (fun i x ->
-      Helpers.check_float ~eps:1e-9 (Printf.sprintf "%s: alloc of %d" msg i) x
-        b.allocs.(i))
+    (fun i x -> Helpers.check_bits (Printf.sprintf "%s: alloc of %d" msg i) x b.allocs.(i))
     a.allocs;
-  Helpers.check_float ~eps:1e-9 (msg ^ ": total utility") a.total b.total
+  Helpers.check_bits (msg ^ ": total utility") a.total b.total
 
 let random_spec rng =
   match Rng.int rng 4 with
@@ -599,6 +598,93 @@ let test_crash_recovery_every_prefix () =
   Journal.close j;
   Sys.remove path;
   Sys.remove replay_path
+
+(* ---------- journals in the re-printed and the as-parsed form ---------- *)
+
+(* A spec spelled the way a client might send it — tabs, repeated
+   spaces, a trailing comment, short or hex floats — so the text the
+   engine journals differs from the utility's %.17g re-print. *)
+let loose_spec rng =
+  let g = Printf.sprintf "%.6g" in
+  match Rng.int rng 4 with
+  | 0 ->
+      Printf.sprintf "power\t%s  %s # measured"
+        (g (Rng.uniform rng ~lo:0.5 ~hi:5.0))
+        (g (Rng.uniform rng ~lo:0.3 ~hi:1.0))
+  | 1 ->
+      Printf.sprintf "log %s\t\t%s"
+        (g (Rng.uniform rng ~lo:0.5 ~hi:5.0))
+        (g (Rng.uniform rng ~lo:0.1 ~hi:2.0))
+  | 2 ->
+      Printf.sprintf "capped  %s %s"
+        (g (Rng.uniform rng ~lo:0.2 ~hi:4.0))
+        (g (Rng.uniform rng ~lo:1.0 ~hi:cap))
+  | _ ->
+      Plc.points (Utility.to_plc (Helpers.plc_u rng))
+      |> Array.to_list
+      |> List.map (fun (x, y) -> Printf.sprintf "%h \t%h" x y)
+      |> String.concat "  "
+      |> ( ^ ) "plc\t"
+
+(* The same request script journaled twice: once as the engine now
+   writes it (the request's own spec text) and once in the form older
+   builds wrote (every utility re-printed by [print_thread_spec], for
+   appends and SNAPSHOT alike). Both journals must recover to the live
+   state bit for bit. *)
+let test_journal_forms_replay_alike () =
+  let rng = Rng.create ~seed:77 () in
+  let open_engine () =
+    let path = Filename.temp_file "aa_forms" ".log" in
+    let j = or_fail (Journal.create ~path ~servers:3 ~capacity:cap ()) in
+    (path, Engine.create ~journal:j ~servers:3 ~capacity:cap ())
+  in
+  let text_path, e_text = open_engine () in
+  let print_path, e_print = open_engine () in
+  let reprint : Protocol.request -> Protocol.request = function
+    | Admit s -> Admit (spec s.utility)
+    | Update (i, s) -> Update (i, spec s.utility)
+    | r -> r
+  in
+  let active = ref [] in
+  for step = 1 to 150 do
+    let line =
+      if step mod 60 = 0 then "SNAPSHOT"
+      else if !active = [] || Rng.float rng 1.0 < 0.5 then "ADMIT\t" ^ loose_spec rng
+      else
+        let id = List.nth !active (Rng.int rng (List.length !active)) in
+        if Rng.int rng 3 = 0 then Printf.sprintf "DEPART %d" id
+        else Printf.sprintf "UPDATE %d  %s" id (loose_spec rng)
+    in
+    let req =
+      match Protocol.parse_request ~cap line with
+      | Ok r -> r
+      | Error r -> Alcotest.failf "%S rejected: %s" line (Protocol.print_response r)
+    in
+    let r_text = Engine.handle e_text req in
+    let r_print = Engine.handle e_print (reprint req) in
+    Alcotest.(check string) line (Protocol.print_response r_text)
+      (Protocol.print_response r_print);
+    match r_text with
+    | Protocol.Admitted { id; _ } -> active := id :: !active
+    | Protocol.Departed { id } -> active := List.filter (fun x -> x <> id) !active
+    | Protocol.Err { message; _ } -> Alcotest.failf "step %d %S: %s" step line message
+    | _ -> ()
+  done;
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  Alcotest.(check bool) "the two journals differ in their bytes" false
+    (String.equal (read text_path) (read print_path));
+  let live = state_of e_text in
+  check_state "live engines" live (state_of e_print);
+  List.iter
+    (fun (form, path, e) ->
+      Option.iter Journal.close (Engine.journal e);
+      match Engine.of_journal ~path () with
+      | Error msg -> Alcotest.failf "%s form: replay failed: %s" form msg
+      | Ok e2 ->
+          check_state (form ^ " form") live (state_of e2);
+          Option.iter Journal.close (Engine.journal e2);
+          Sys.remove path)
+    [ ("text", text_path, e_text); ("printed", print_path, e_print) ]
 
 (* ---------- the daemon binary, end to end ---------- *)
 
@@ -809,6 +895,8 @@ let () =
         [
           Alcotest.test_case "every prefix replays" `Slow
             test_crash_recovery_every_prefix;
+          Alcotest.test_case "printed and text journals agree" `Quick
+            test_journal_forms_replay_alike;
         ] );
       ( "daemon",
         [
