@@ -917,7 +917,7 @@ let service () =
   in
   let script = make_service_script ~n_requests () in
   time_script "in-memory"
-    (Aa_service.Engine.create ~clock:now ~servers:8 ~capacity:1000.0 ())
+    (Aa_service.Engine.create ~servers:8 ~capacity:1000.0 ())
     script;
   let path = Filename.temp_file "aa_bench_journal" ".log" in
   (match
@@ -927,74 +927,76 @@ let service () =
   | Error e -> line "journaled bench skipped: %s" e
   | Ok j ->
       time_script "journaled"
-        (Aa_service.Engine.create ~clock:now ~journal:j ~servers:8 ~capacity:1000.0 ())
+        (Aa_service.Engine.create ~journal:j ~servers:8 ~capacity:1000.0 ())
         script;
       Aa_service.Journal.close j);
   Sys.remove path
 
 (* ---------- E5: sharded daemon + group commit ---------- *)
 
-(* The same mixed workload through the sharded dispatcher at 1/2/4/8
-   shards, every shard journaled at fsync=always — the policy where
-   group commit matters. Requests are posted pipelined with a bounded
-   in-flight window (the socket reader/writer discipline), so the shard
-   queues see real depth and each drained burst lands under one fsync:
+(* The harness both daemon experiments time: [shards] engines behind
+   one Shard, every shard journaled at fsync=always — the policy where
+   group commit matters — and the script posted pipelined with a
+   bounded in-flight window of 64 (the socket reader/writer
+   discipline), so the shard queues see real depth and each drained
+   burst lands under one fsync. [on_ack] runs on every reply; a crash
+   aborts the bench. Returns the wall seconds and the journal fsyncs. *)
+let run_daemon ?(on_ack = fun _ _ -> ()) ~shards script =
+  let max_inflight = 64 in
+  let counts = Aa_service.Shard.server_counts ~servers:8 ~shards in
+  let paths = Array.init shards (fun _ -> Filename.temp_file "aa_bench_shard" ".log") in
+  let journals =
+    Array.init shards (fun k ->
+        match
+          Aa_service.Journal.create ~fsync:Aa_service.Journal.Always ~path:paths.(k)
+            ~servers:counts.(k) ~capacity:1000.0 ()
+        with
+        | Ok j -> j
+        | Error e ->
+            Printf.eprintf "bench: shard journal: %s\n%!" e;
+            exit 2)
+  in
+  let sh =
+    Aa_service.Shard.create
+      (Array.init shards (fun k ->
+           Aa_service.Engine.create ~journal:journals.(k) ~servers:counts.(k)
+             ~capacity:1000.0 ()))
+  in
+  let inflight = Queue.create () in
+  let await tk =
+    match Aa_service.Shard.await sh tk with
+    | Aa_service.Shard.Reply resp -> on_ack tk resp
+    | Aa_service.Shard.Crashed name ->
+        Printf.eprintf "bench: shard crashed at %s\n%!" name;
+        exit 2
+  in
+  let t0 = now () in
+  List.iter
+    (fun l ->
+      (match Aa_service.Shard.post_line sh l with
+      | `Ticket tk -> Queue.push tk inflight
+      | `Blank | `Immediate _ -> ());
+      if Queue.length inflight > max_inflight then await (Queue.pop inflight))
+    script;
+  Queue.iter await inflight;
+  let dt = now () -. t0 in
+  Aa_service.Shard.shutdown sh;
+  let fsyncs = Array.fold_left (fun a j -> a + Aa_service.Journal.fsyncs j) 0 journals in
+  Array.iter Sys.remove paths;
+  (dt, fsyncs)
+
+(* The mixed workload through the sharded dispatcher at 1/2/4/8 shards:
    the recorded journal.fsyncs stays well below the request count even
    though every ack names durable state. *)
 let service_shards () =
   heading
     "E5 — sharded daemon: requests/s at 1/2/4/8 shards (group commit, fsync=always)";
   let n_requests = 10_000 in
-  let max_inflight = 64 in
   let script = make_service_script ~n_requests () in
-  line "%d pipelined requests, in-flight window %d; fsyncs counted per run."
-    n_requests max_inflight;
+  line "%d pipelined requests, in-flight window 64; fsyncs counted per run." n_requests;
   List.iter
     (fun shards ->
-      let counts = Aa_service.Shard.server_counts ~servers:8 ~shards in
-      let paths =
-        Array.init shards (fun _ -> Filename.temp_file "aa_bench_shard" ".log")
-      in
-      let journals =
-        Array.init shards (fun k ->
-            match
-              Aa_service.Journal.create ~fsync:Aa_service.Journal.Always
-                ~path:paths.(k) ~servers:counts.(k) ~capacity:1000.0 ()
-            with
-            | Ok j -> j
-            | Error e ->
-                Printf.eprintf "bench: shard journal: %s\n%!" e;
-                exit 2)
-      in
-      let engines =
-        Array.init shards (fun k ->
-            Aa_service.Engine.create ~clock:now ~journal:journals.(k)
-              ~servers:counts.(k) ~capacity:1000.0 ())
-      in
-      let sh = Aa_service.Shard.create engines in
-      let inflight = Queue.create () in
-      let await tk =
-        match Aa_service.Shard.await sh tk with
-        | Aa_service.Shard.Reply _ -> ()
-        | Aa_service.Shard.Crashed name ->
-            Printf.eprintf "bench: shard crashed at %s\n%!" name;
-            exit 2
-      in
-      let t0 = now () in
-      List.iter
-        (fun l ->
-          (match Aa_service.Shard.post_line sh l with
-          | `Ticket tk -> Queue.push tk inflight
-          | `Blank | `Immediate _ -> ());
-          if Queue.length inflight > max_inflight then await (Queue.pop inflight))
-        script;
-      Queue.iter await inflight;
-      let dt = now () -. t0 in
-      Aa_service.Shard.shutdown sh;
-      let fsyncs =
-        Array.fold_left (fun a j -> a + Aa_service.Journal.fsyncs j) 0 journals
-      in
-      Array.iter Sys.remove paths;
+      let dt, fsyncs = run_daemon ~shards script in
       let rps = float_of_int n_requests /. dt in
       line "shards=%d   %10.0f requests/s   (%.2f s, %d fsyncs for %d requests)"
         shards rps dt fsyncs n_requests;
@@ -1007,48 +1009,25 @@ let service_shards () =
 
 (* ---------- E5b: telemetry overhead on the sharded daemon ---------- *)
 
-(* The E5 workload in the E5 configuration — 4 shards, every shard
-   journaled at fsync=always, group commit — run twice: telemetry off,
-   then the full request-context layer on — a context minted per
-   request, phases timed, slow capture armed, every ack rendered and
-   written to a structured access log. The on/off rps ratio is the
-   observability tax; the budget is 5% (ratio >= 0.95). Set
-   AA_TEL=noalog or AA_TEL=noslow to ablate the access-log write or the
-   slow-capture arming out of the on leg when attributing a
+(* The E5 workload in the E5 configuration at 4 shards, run twice:
+   telemetry off, then the full request-context layer on — a context
+   minted per request, phases timed, slow capture armed, every ack
+   rendered and written to a structured access log. The on/off rps
+   ratio is the observability tax; the budget is 5% (ratio >= 0.95).
+   Set AA_TEL=noalog or AA_TEL=noslow to ablate the access-log write or
+   the slow-capture arming out of the on leg when attributing a
    regression. *)
 let service_telemetry () =
   heading
     "E5b — telemetry overhead: requests/s with request contexts + access log on \
      vs off (4 shards, group commit, fsync=always)";
   let n_requests = 10_000 in
-  let max_inflight = 64 in
   let shards = 4 in
   let run ~telemetry =
     let script = make_service_script ~n_requests () in
-    let counts = Aa_service.Shard.server_counts ~servers:8 ~shards in
-    let paths =
-      Array.init shards (fun _ -> Filename.temp_file "aa_bench_tel" ".log")
-    in
-    let journals =
-      Array.init shards (fun k ->
-          match
-            Aa_service.Journal.create ~fsync:Aa_service.Journal.Always
-              ~path:paths.(k) ~servers:counts.(k) ~capacity:1000.0 ()
-          with
-          | Ok j -> j
-          | Error e ->
-              Printf.eprintf "bench: shard journal: %s\n%!" e;
-              exit 2)
-    in
-    let engines =
-      Array.init shards (fun k ->
-          Aa_service.Engine.create ~clock:now ~journal:journals.(k)
-            ~servers:counts.(k) ~capacity:1000.0 ())
-    in
-    let sh = Aa_service.Shard.create engines in
     let alog_path = Filename.temp_file "aa_bench_alog" ".jsonl" in
     let variant = Option.value (Sys.getenv_opt "AA_TEL") ~default:"full" in
-    let alog =
+    let access_log =
       if not telemetry then None
       else begin
         Aa_obs.Rctx.set_enabled true;
@@ -1062,45 +1041,14 @@ let service_telemetry () =
               exit 2
       end
     in
-    let inflight = Queue.create () in
-    let await tk =
-      match Aa_service.Shard.await sh tk with
-      | Aa_service.Shard.Crashed name ->
-          Printf.eprintf "bench: shard crashed at %s\n%!" name;
-          exit 2
-      | Aa_service.Shard.Reply resp -> (
-          (* render the ack in both runs — the wire write the daemon
-             pays either way must not be billed to telemetry *)
-          let text = Aa_service.Protocol.print_response resp in
-          match Aa_service.Shard.rctx tk with
-          | None -> ()
-          | Some c ->
-              let outcome =
-                match resp with
-                | Aa_service.Protocol.Err { code; _ } ->
-                    "err:" ^ Aa_service.Protocol.code_name code
-                | _ -> "ok"
-              in
-              ignore (Aa_obs.Rctx.finish c ~outcome);
-              Option.iter
-                (fun a ->
-                  Aa_service.Access_log.log a c ~outcome
-                    ~bytes:(String.length text + 1))
-                alog)
+    (* render the ack in both runs — the wire write the daemon pays
+       either way must not be billed to telemetry *)
+    let on_ack tk resp =
+      let bytes = String.length (Aa_service.Protocol.print_response resp) + 1 in
+      Aa_service.Shard.ack ?access_log tk (Aa_service.Shard.Reply resp) ~bytes
     in
-    let t0 = now () in
-    List.iter
-      (fun l ->
-        (match Aa_service.Shard.post_line ~conn:0 sh l with
-        | `Ticket tk -> Queue.push tk inflight
-        | `Blank | `Immediate _ -> ());
-        if Queue.length inflight > max_inflight then await (Queue.pop inflight))
-      script;
-    Queue.iter await inflight;
-    let dt = now () -. t0 in
-    Aa_service.Shard.shutdown sh;
-    Array.iter Sys.remove paths;
-    Option.iter Aa_service.Access_log.close alog;
+    let dt, _ = run_daemon ~on_ack ~shards script in
+    Option.iter Aa_service.Access_log.close access_log;
     if telemetry then begin
       Aa_obs.Rctx.set_slow_ms (-1.0);
       Aa_obs.Rctx.slow_clear ();

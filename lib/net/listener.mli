@@ -27,7 +27,8 @@
 
     {b Request contexts.} When {!Aa_obs.Rctx.enabled}, every posted
     line carries a context tagged with this connection's id; the writer
-    thread finishes it after sending the reply (outcome ["ok"],
+    thread acks it ({!Aa_service.Shard.ack}) after sending the reply
+    (outcome ["ok"],
     ["err:<code>"], ["dropped"] or ["crashed"]) and appends one
     {!Aa_service.Access_log} record per acked request when the listener
     was given a log. *)

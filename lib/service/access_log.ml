@@ -1,6 +1,7 @@
 (* Structured access log: one JSON object per acked request, one line
-   per object (JSONL), written by whichever thread acks the request
-   (listener writer thread / stdin loop) under one mutex.
+   per object (JSONL), written under one mutex by whichever thread acks
+   the request through [Shard.ack]: a listener writer thread, or
+   aa_serve's stdin loop for connection 0.
 
    Lines are buffered and written out in line-aligned batches (at most
    ~4 KiB or 50 ms behind, whichever comes first; [close] drains the

@@ -5,13 +5,23 @@ module Failpoint = Aa_fault.Failpoint
 
 let ( let* ) = Result.bind
 
+type gauges = {
+  admitted : int;
+  active : int;
+  utility : float;
+  degraded : bool;
+  policy : Online.policy;
+  drift_bound : float;
+  splices : int;
+  resolves : int;
+  interval : (float * float * float) option;
+}
+
 type t = {
   online : Online.t;
   texts : string Dynvec.t;
       (* admission id -> the spec text of the thread's current utility,
          as parsed: SNAPSHOT writes these bytes back verbatim *)
-  metrics : Metrics.t;
-  clock : unit -> float;
   journal : Journal.t option;
   journal_retries : int;
   retry_backoff_s : float;
@@ -65,15 +75,13 @@ let policy_name : Online.policy -> string = function
   | Online.Incremental -> "incremental"
   | Online.Auto _ -> "auto"
 
-let create ?(clock = Aa_obs.Clock.now_s) ?journal ?(journal_retries = 2)
+let create ?journal ?(journal_retries = 2)
     ?(retry_backoff_s = 1e-3) ?(coarsen_eps = 0.0) ?policy ~servers ~capacity () =
   if coarsen_eps < 0.0 || not (Float.is_finite coarsen_eps) then
     invalid_arg "Engine.create: coarsen_eps must be finite and >= 0";
   {
     online = Online.create ?policy ~servers ~capacity ();
     texts = Dynvec.create ();
-    metrics = Metrics.create ();
-    clock;
     journal;
     journal_retries;
     retry_backoff_s;
@@ -85,7 +93,6 @@ let create ?(clock = Aa_obs.Clock.now_s) ?journal ?(journal_retries = 2)
 let servers t = Online.servers t.online
 let capacity t = Online.capacity t.online
 let online t = t.online
-let metrics t = t.metrics
 let journal t = t.journal
 let degraded t = t.degraded
 let n_admitted t = Online.n_admitted t.online
@@ -96,6 +103,41 @@ let policy t = Online.policy t.online
 let drift_bound t = Online.drift_bound t.online
 let splices t = Online.splices t.online
 let resolves t = Online.resolves t.online
+
+let gauges t : gauges =
+  let ol = t.online in
+  {
+    admitted = Online.n_admitted ol;
+    active = Online.n_active ol;
+    utility = Online.total_utility ol;
+    degraded = t.degraded;
+    policy = Online.policy ol;
+    drift_bound = Online.drift_bound ol;
+    splices = Online.splices ol;
+    resolves = Online.resolves ol;
+    interval = t.interval;
+  }
+
+let gauge_keys (g : gauges) =
+  [
+    ("admitted", string_of_int g.admitted);
+    ("active", string_of_int g.active);
+    ("utility", Printf.sprintf "%.9g" g.utility);
+    ("degraded", if g.degraded then "1" else "0");
+    ("policy", policy_name g.policy);
+    ("drift_bound", Printf.sprintf "%.9g" g.drift_bound);
+    ("incremental.splices", string_of_int g.splices);
+    ("incremental.resolves", string_of_int g.resolves);
+  ]
+  @
+  match g.interval with
+  | None -> []
+  | Some (lo, hi, alpha) ->
+      [
+        ("utility_lower", Printf.sprintf "%.9g" lo);
+        ("utility_upper", Printf.sprintf "%.9g" hi);
+        ("alpha_gap", Printf.sprintf "%.9g" alpha);
+      ]
 
 let err code fmt =
   Printf.ksprintf (fun message -> Protocol.Err { code; message }) fmt
@@ -248,30 +290,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
             active = Online.is_active ol i;
           }
       end
-  | Stats ->
-      let gauges =
-        [
-          ("admitted", string_of_int (Online.n_admitted ol));
-          ("active", string_of_int (Online.n_active ol));
-          ("utility", Printf.sprintf "%.9g" (Online.total_utility ol));
-          ("degraded", if t.degraded then "1" else "0");
-          ("policy", policy_name (Online.policy ol));
-          ("drift_bound", Printf.sprintf "%.9g" (Online.drift_bound ol));
-          ("incremental.splices", string_of_int (Online.splices ol));
-          ("incremental.resolves", string_of_int (Online.resolves ol));
-        ]
-      in
-      let interval =
-        match t.interval with
-        | None -> []
-        | Some (lo, hi, alpha) ->
-            [
-              ("utility_lower", Printf.sprintf "%.9g" lo);
-              ("utility_upper", Printf.sprintf "%.9g" hi);
-              ("alpha_gap", Printf.sprintf "%.9g" alpha);
-            ]
-      in
-      Stats_report (gauges @ interval @ Metrics.report t.metrics)
+  | Stats -> Stats_report (gauge_keys (gauges t))
   | Snapshot -> begin
       let done_ compacted =
         Protocol.Snapshot_done
@@ -300,7 +319,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
     end
   | Rebalance ->
       if Online.n_active ol = 0 then begin
-        Metrics.note_gap t.metrics 1.0;
         t.interval <- Some (0.0, 0.0, 0.0);
         (* the empty set's pooled bound is 0, so the certificate closes *)
         Online.note_bound ol ~upper:0.0;
@@ -351,7 +369,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
         Aa_obs.Registry.Gauge.set g_uupper upper;
         Aa_obs.Registry.Gauge.set g_alpha alpha_gap;
         let gap = if offline_u > 0.0 then online_u /. offline_u else 1.0 in
-        Metrics.note_gap t.metrics gap;
         Rebalance_report { online = online_u; offline = offline_u; gap }
       end
   | Trace ->
@@ -372,33 +389,18 @@ let dispatch t (req : Protocol.request) : Protocol.response =
   | Slow ->
       Slow_dump { count = Aa_obs.Rctx.slow_count (); json = Aa_obs.Rctx.slow_json () }
 
-let kind_of : Protocol.request -> string = function
-  | Admit _ -> "admit"
-  | Depart _ -> "depart"
-  | Update _ -> "update"
-  | Query _ -> "query"
-  | Stats -> "stats"
-  | Snapshot -> "snapshot"
-  | Rebalance -> "rebalance"
-  | Trace -> "trace"
-  | Slow -> "slow"
-
-let response_ok : Protocol.response -> bool = function
-  | Err _ -> false
-  | _ -> true
-
 let handle t req =
-  let t0 = t.clock () in
-  let resp =
-    (* belt and braces: a validation hole below must surface as a typed
-       error response, never kill the session loop *)
-    match Aa_obs.Trace.span (kind_of req) (fun () -> dispatch t req) with
-    | resp -> resp
-    | exception Invalid_argument m -> err Bad_request "rejected: %s" m
-  in
-  Metrics.record t.metrics ~kind:(kind_of req) ~ok:(response_ok resp)
-    ~latency:(t.clock () -. t0);
-  resp
+  (* belt and braces: a validation hole below must surface as a typed
+     error response, never kill the session loop *)
+  match Aa_obs.Trace.span (Protocol.kind_of req) (fun () -> dispatch t req) with
+  | resp -> resp
+  | exception Invalid_argument m -> err Bad_request "rejected: %s" m
+
+(* The STATS barrier's per-shard read: passes the [engine.dispatch]
+   probe like every request that [dispatch] serves, then snapshots. *)
+let stats t =
+  Failpoint.crash_if fp_dispatch;
+  gauges t
 
 (* Batch size distribution of the group-commit path. A histogram, not a
    counter: how many mutations share one fsync depends on arrival
@@ -478,13 +480,9 @@ let handle_line t line =
   match Protocol.tokens line with
   | [] -> None
   | toks -> (
-      let t0 = t.clock () in
       match Protocol.parse_tokens ~cap:(capacity t) toks with
       | Ok req -> Some (handle t req)
-      | Error resp ->
-          Metrics.record t.metrics ~kind:"malformed" ~ok:false
-            ~latency:(t.clock () -. t0);
-          Some resp)
+      | Error resp -> Some resp)
 
 let apply t entry =
   let ol = t.online in
@@ -524,12 +522,12 @@ let apply t entry =
         Ok ()
       end
 
-let of_journal ?clock ?fsync ?journal_retries ?retry_backoff_s ?coarsen_eps
+let of_journal ?fsync ?journal_retries ?retry_backoff_s ?coarsen_eps
     ?policy ~path () =
   let* j, entries = Journal.append_to ?fsync ~path () in
   let h = Journal.header j in
   let t =
-    create ?clock ?journal_retries ?retry_backoff_s ?coarsen_eps ?policy
+    create ?journal_retries ?retry_backoff_s ?coarsen_eps ?policy
       ~journal:j ~servers:h.servers ~capacity:h.capacity ()
   in
   let rec go n = function

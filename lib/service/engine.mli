@@ -1,6 +1,8 @@
 (** The allocation daemon's stateful core: an {!Aa_core.Online} placer
-    behind the {!Protocol} request dispatch, with write-ahead journaling
-    and {!Metrics}.
+    behind the {!Protocol} request dispatch, with write-ahead journaling.
+    The daemon serves every engine through a {!Shard} worker, which
+    keeps the request book ({!Metrics}: counts and latencies); an engine
+    keeps state and gauges only.
 
     Semantics per request:
     - ADMIT: admission control (the utility's domain cap must equal the
@@ -12,7 +14,9 @@
       applied; the thread's server re-divides its capacity.
     - QUERY: read-only thread view (historical server and zero
       allocation for departed threads).
-    - STATS: engine gauges plus {!Metrics.report}.
+    - STATS: the engine gauges, rendered by {!gauge_keys}. The
+      daemon's STATS is {!Shard}'s fleet cut, which renders the summed
+      gauges with the same function and appends its request book.
     - SNAPSHOT: compacts the journal to a [place]-per-thread state dump
       ({!snapshot_entries}); a no-op (but still [OK]) without a journal.
     - REBALANCE: re-solves the {e active} set offline with
@@ -48,7 +52,6 @@
 type t
 
 val create :
-  ?clock:(unit -> float) ->
   ?journal:Journal.t ->
   ?journal_retries:int ->
   ?retry_backoff_s:float ->
@@ -58,23 +61,20 @@ val create :
   capacity:float ->
   unit ->
   t
-(** [clock] (default {!Aa_obs.Clock.now_s}, the sanctioned monotonized
-    wall clock) timestamps requests for the latency metrics; tests may
-    pass a fake. A failed journal append is retried [journal_retries]
-    times (default 2) with exponential backoff starting at
-    [retry_backoff_s] seconds (default 1e-3) before the engine
-    degrades. [coarsen_eps > 0] makes REBALANCE solve a certified
-    eps-coarsened copy of the active instance ({!Aa_utility.Plc.coarsen})
-    and report the guaranteed utility interval; 0 (default) solves at
-    full resolution. [policy] selects the online maintenance strategy
-    ({!Aa_core.Online.policy}, default [Incremental] — bit-identical to
-    [Full], without the per-request allocator runs). Raises
-    [Invalid_argument] on a negative or non-finite eps. *)
+(** A failed journal append is retried [journal_retries] times
+    (default 2) with exponential backoff starting at [retry_backoff_s]
+    seconds (default 1e-3) before the engine degrades. [coarsen_eps > 0]
+    makes REBALANCE solve a certified eps-coarsened copy of the active
+    instance ({!Aa_utility.Plc.coarsen}) and report the guaranteed
+    utility interval; 0 (default) solves at full resolution. [policy]
+    selects the online maintenance strategy ({!Aa_core.Online.policy},
+    default [Incremental] — bit-identical to [Full], without the
+    per-request allocator runs). Raises [Invalid_argument] on a negative
+    or non-finite eps. *)
 
 val servers : t -> int
 val capacity : t -> float
 val online : t -> Aa_core.Online.t
-val metrics : t -> Metrics.t (* aa-lint: ignore unused-export -- service introspection API *)
 val journal : t -> Journal.t option
 
 val degraded : t -> bool
@@ -95,7 +95,7 @@ val drift_bound : t -> float
     superopt bound. Exported as the [engine.drift_bound] gauge and the
     [drift_bound] STATS key; REBALANCE re-certifies (tightens) it. *)
 
-val splices : t -> int
+val splices : t -> int (* aa-lint: ignore unused-export -- read by the repository benchmark, perfbench/ *)
 (** Incremental piece-order splices performed by the placer
     ([engine.incremental.splices] gauge, [incremental.splices] STATS). *)
 
@@ -113,8 +113,36 @@ val utility_interval : t -> (float * float * float) option
     and [engine.alpha_bound_gap] gauges and the
     [utility_lower]/[utility_upper]/[alpha_gap] STATS keys. *)
 
+type gauges = {
+  admitted : int;
+  active : int;
+  utility : float;
+  degraded : bool;
+  policy : Aa_core.Online.policy;
+  drift_bound : float;
+  splices : int;
+  resolves : int;
+  interval : (float * float * float) option;  (** {!utility_interval} *)
+}
+(** The engine's STATS gauges, typed, so a fleet cut can sum them
+    without re-parsing a printed reply. *)
+
+val stats : t -> gauges
+(** The gauges now. Passes the [engine.dispatch] failpoint first, as
+    every dispatched request does: {!Shard}'s STATS barrier reads each
+    engine through this and never enters {!handle}. *)
+
+val gauge_keys : gauges -> (string * string) list
+(** The STATS rendering of the gauges, in order: [admitted], [active],
+    [utility], [degraded], [policy], [drift_bound],
+    [incremental.splices], [incremental.resolves], then
+    [utility_lower]/[utility_upper]/[alpha_gap] when [interval] is set.
+    The engine's own STATS and the shard cut both call it. *)
+
 val handle : t -> Protocol.request -> Protocol.response
-(** Dispatch one request, recording metrics. Never raises. *)
+(** Dispatch one request under a trace span named after its kind.
+    Never raises (except an armed crash failpoint). Records no
+    metrics: the request book is {!Shard}'s. *)
 
 val handle_batch :
   ?ctxs:Aa_obs.Rctx.t option array -> t -> Protocol.request list -> Protocol.response list
@@ -140,12 +168,13 @@ val handle_batch :
 
 val handle_line : t -> string -> Protocol.response option
 (** Parse and dispatch one wire line. [None] for blank/comment lines
-    (no response is due); malformed lines yield [Some (Err …)] and are
-    counted under the ["malformed"] metrics kind. Never raises. *)
+    (no response is due); malformed lines yield [Some (Err …)]. Never
+    raises. For tests and the in-process bench; the daemon posts lines
+    through {!Shard.post_line}. *)
 
 val apply : t -> Journal.entry -> (unit, string) result
-(** Replay path: validate and apply one journal entry without metrics
-    or re-journaling. [Place] entries must arrive in admission order
+(** Replay path: validate and apply one journal entry without
+    re-journaling. [Place] entries must arrive in admission order
     (consecutive ids from the current [n_admitted]). *)
 
 val snapshot_entries : t -> Journal.entry list (* aa-lint: ignore unused-export -- snapshot/restore API, exercised via Journal replay *)
@@ -157,7 +186,6 @@ val snapshot_entries : t -> Journal.entry list (* aa-lint: ignore unused-export 
     utility. *)
 
 val of_journal :
-  ?clock:(unit -> float) ->
   ?fsync:Journal.fsync_policy ->
   ?journal_retries:int ->
   ?retry_backoff_s:float ->

@@ -1,13 +1,8 @@
-(* The histogram implementation moved to Aa_obs so the observability
-   layer and the service share one bucketing scheme (and [merge]); the
-   alias keeps existing [Metrics.Histogram] users compiling unchanged. *)
-module Histogram = Aa_obs.Histogram
-
-type counter = { mutable ok : int; mutable err : int; latency : Histogram.t }
+type counter = { mutable ok : int; mutable err : int; latency : Aa_obs.Histogram.t }
 
 type t = {
   kinds : (string, counter) Hashtbl.t;
-  overall : Histogram.t;
+  overall : Aa_obs.Histogram.t;
   mutable total_ok : int;
   mutable total_err : int;
   mutable last_gap : float option;
@@ -16,7 +11,7 @@ type t = {
 let create () =
   {
     kinds = Hashtbl.create 16;
-    overall = Histogram.create ();
+    overall = Aa_obs.Histogram.create ();
     total_ok = 0;
     total_err = 0;
     last_gap = None;
@@ -26,7 +21,7 @@ let counter t kind =
   match Hashtbl.find_opt t.kinds kind with
   | Some c -> c
   | None ->
-      let c = { ok = 0; err = 0; latency = Histogram.create () } in
+      let c = { ok = 0; err = 0; latency = Aa_obs.Histogram.create () } in
       Hashtbl.add t.kinds kind c;
       c
 
@@ -40,8 +35,8 @@ let record t ~kind ~ok ~latency =
     c.err <- c.err + 1;
     t.total_err <- t.total_err + 1
   end;
-  Histogram.add c.latency latency;
-  Histogram.add t.overall latency
+  Aa_obs.Histogram.add c.latency latency;
+  Aa_obs.Histogram.add t.overall latency
 
 let note_gap t gap = t.last_gap <- Some gap
 let requests t = t.total_ok + t.total_err
@@ -50,9 +45,9 @@ let seconds x = Printf.sprintf "%.3e" x
 
 let quantiles prefix h =
   [
-    (prefix ^ "p50", seconds (Histogram.quantile h 0.50));
-    (prefix ^ "p95", seconds (Histogram.quantile h 0.95));
-    (prefix ^ "p99", seconds (Histogram.quantile h 0.99));
+    (prefix ^ "p50", seconds (Aa_obs.Histogram.quantile h 0.50));
+    (prefix ^ "p95", seconds (Aa_obs.Histogram.quantile h 0.95));
+    (prefix ^ "p99", seconds (Aa_obs.Histogram.quantile h 0.99));
   ]
 
 let report t =

@@ -1,15 +1,10 @@
-(** Operational metrics of the allocation daemon: request counters by
-    type and outcome, per-type latency histograms with p50/p95/p99, and
-    the latest REBALANCE utility gap. Everything is O(1) per request —
-    latencies go into fixed log-scale buckets (20 per decade from 1 ns),
-    so quantiles carry ~±6% relative bucketing error, plenty for an
-    operational view. Surfaced through the STATS request. *)
-
-(** Log-bucketed latency histogram (seconds) — an alias for
-    {!Aa_obs.Histogram}, where the implementation now lives so the
-    observability layer shares the bucketing scheme (and gains
-    [merge]). *)
-module Histogram = Aa_obs.Histogram
+(** The allocation daemon's request book: request counters by type and
+    outcome, per-type latency histograms with p50/p95/p99, and the
+    latest REBALANCE utility gap. Everything is O(1) per request —
+    latencies go into {!Aa_obs.Histogram}'s fixed log-scale buckets (20
+    per decade from 1 ns), so quantiles carry ~±6% relative bucketing
+    error, plenty for an operational view. {!Shard} keeps the one book
+    a daemon has; surfaced through the STATS request. *)
 
 type t
 

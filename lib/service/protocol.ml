@@ -41,6 +41,17 @@ let code_name = function
   | Journal_failed -> "journal"
   | Degraded -> "degraded"
 
+let kind_of = function
+  | Admit _ -> "admit"
+  | Depart _ -> "depart"
+  | Update _ -> "update"
+  | Query _ -> "query"
+  | Stats -> "stats"
+  | Snapshot -> "snapshot"
+  | Rebalance -> "rebalance"
+  | Trace -> "trace"
+  | Slow -> "slow"
+
 let tokens = Aa_io.Format_text.tokens
 
 let parse_tokens ~cap toks =

@@ -84,6 +84,10 @@ type response =
           threshold) *)
   | Err of { code : error_code; message : string }
 
+val kind_of : request -> string
+(** The request's lower-case verb (["admit"], ["stats"], …): the span
+    name, the request-context kind and the STATS metrics kind. *)
+
 val tokens : string -> string list
 (** Whitespace-split with [#]-to-end-of-line comments removed — the
     lexical layer shared by requests and journal lines

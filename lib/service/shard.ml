@@ -31,18 +31,7 @@ type ticket = {
 
 (* Per-shard barrier contributions, kept typed so aggregation never
    re-parses a printed response. *)
-type bres =
-  | R_stats of {
-      admitted : int;
-      active : int;
-      utility : float;
-      degraded : bool;
-      interval : (float * float * float) option;
-      drift : float;
-      splices : int;
-      resolves : int;
-    }
-  | R_resp of Protocol.response
+type bres = R_stats of Engine.gauges | R_resp of Protocol.response
 
 type bkind = B_stats | B_snapshot | B_rebalance
 
@@ -67,7 +56,7 @@ type t = {
   window_s : float; (* group-commit window: wait this long after wake *)
   max_batch : int;
   rr : int Atomic.t; (* round-robin admit counter (routing only) *)
-  metrics : Metrics.t; (* dispatch-layer: full queueing + engine latency *)
+  metrics : Metrics.t; (* the daemon's request book: post to first await *)
   mlock : Mutex.t; (* Metrics is not thread-safe; awaits are concurrent *)
   clock : unit -> float;
   g_active : Aa_obs.Registry.Gauge.t array;
@@ -76,17 +65,6 @@ type t = {
   mutable stop : bool;
   mutable workers : unit Domain.t array;
 }
-
-let kind_of : Protocol.request -> string = function
-  | Admit _ -> "admit"
-  | Depart _ -> "depart"
-  | Update _ -> "update"
-  | Query _ -> "query"
-  | Stats -> "stats"
-  | Snapshot -> "snapshot"
-  | Rebalance -> "rebalance"
-  | Trace -> "trace"
-  | Slow -> "slow"
 
 let server_counts ~servers ~shards =
   if shards < 1 then invalid_arg "Shard.server_counts: shards must be >= 1";
@@ -111,6 +89,23 @@ let ticket ~kind ~t0 ~rctx =
 
 let rctx tk = tk.t_rctx
 
+let outcome_name = function
+  | Reply (Protocol.Err { code; _ }) -> "err:" ^ Protocol.code_name code
+  | Reply _ -> "ok"
+  | Crashed _ -> "crashed"
+
+(* Close a ticket's request context from the acking side: finish stamps
+   total latency (and feeds slow capture), then the access log gets its
+   one record per request. Exactly once per ticket — the acking thread
+   is the only consumer. *)
+let ack ?access_log ?(dropped = false) tk out ~bytes =
+  match tk.t_rctx with
+  | None -> ()
+  | Some c ->
+      let outcome = if dropped then "dropped" else outcome_name out in
+      ignore (Aa_obs.Rctx.finish c ~outcome);
+      Option.iter (fun al -> Access_log.log al c ~outcome ~bytes) access_log
+
 (* Fill-once: a barrier ticket is shared by every shard's worker and a
    crash may race a normal delivery — the first outcome wins. *)
 let deliver tk out =
@@ -127,7 +122,7 @@ let record_once t tk out =
   tk.t_recorded <- true;
   Mutex.unlock tk.t_lock;
   if fresh then begin
-    let ok = match out with Reply r -> (match r with Protocol.Err _ -> false | _ -> true) | Crashed _ -> false in
+    let ok = match out with Reply (Protocol.Err _) | Crashed _ -> false | Reply _ -> true in
     Mutex.lock t.mlock;
     Metrics.record t.metrics ~kind:tk.t_kind ~ok ~latency:(t.clock () -. tk.t_t0);
     Mutex.unlock t.mlock
@@ -195,18 +190,7 @@ let g_splices = Aa_obs.Registry.gauge "engine.incremental.splices"
 let g_resolves = Aa_obs.Registry.gauge "engine.incremental.resolves"
 
 let local_barrier eng = function
-  | B_stats ->
-      R_stats
-        {
-          admitted = Engine.n_admitted eng;
-          active = Engine.n_active eng;
-          utility = Engine.total_utility eng;
-          degraded = Engine.degraded eng;
-          interval = Engine.utility_interval eng;
-          drift = Engine.drift_bound eng;
-          splices = Engine.splices eng;
-          resolves = Engine.resolves eng;
-        }
+  | B_stats -> R_stats (Engine.stats eng)
   | B_snapshot -> R_resp (Engine.handle eng Protocol.Snapshot)
   | B_rebalance -> R_resp (Engine.handle eng Protocol.Rebalance)
 
@@ -221,76 +205,52 @@ let aggregate t (b : barrier) : Protocol.response =
   in
   match b.bkind with
   | B_stats ->
-      let admitted = ref 0 and active = ref 0 and utility = ref 0.0 and degraded = ref false in
-      let drift = ref 0.0 and splices = ref 0 and resolves = ref 0 in
-      Array.iter
-        (function
-          | R_stats s ->
-              admitted := !admitted + s.admitted;
-              active := !active + s.active;
-              utility := !utility +. s.utility;
-              degraded := !degraded || s.degraded;
-              drift := !drift +. s.drift;
-              splices := !splices + s.splices;
-              resolves := !resolves + s.resolves
-          | R_resp _ -> ())
-        results;
+      let gs =
+        Array.map
+          (function
+            | R_stats g -> g
+            | R_resp _ -> invalid_arg "Shard.aggregate: STATS slot holds a reply")
+          results
+      in
+      (* The fleet cut: sums of every shard's gauges (the policy is the
+         daemon's, shared by all). Certified-interval keys appear only
+         once every shard has a REBALANCE behind it: a partial sum would
+         understate the global bounds, so mixed Some/None drops them. *)
+      let sum (a : Engine.gauges) (g : Engine.gauges) : Engine.gauges =
+        {
+          a with
+          admitted = a.admitted + g.admitted;
+          active = a.active + g.active;
+          utility = a.utility +. g.utility;
+          degraded = a.degraded || g.degraded;
+          drift_bound = a.drift_bound +. g.drift_bound;
+          splices = a.splices + g.splices;
+          resolves = a.resolves + g.resolves;
+          interval =
+            (match (a.interval, g.interval) with
+            | Some (l, h, x), Some (lo, hi, y) -> Some (l +. lo, h +. hi, x +. y)
+            | _ -> None);
+        }
+      in
+      let fleet = Array.fold_left sum gs.(0) (Array.sub gs 1 (t.n - 1)) in
+      (* the barrier cut makes the sums a consistent snapshot; the gauges
+         are overwritten so /metrics shows the global view *)
+      Aa_obs.Registry.Gauge.set g_drift fleet.drift_bound;
+      Aa_obs.Registry.Gauge.set g_splices (float_of_int fleet.splices);
+      Aa_obs.Registry.Gauge.set g_resolves (float_of_int fleet.resolves);
       let per_shard =
         List.concat
           (List.init t.n (fun k ->
-               match results.(k) with
-               | R_stats s ->
-                   [
-                     (Printf.sprintf "shard.%d.admitted" k, string_of_int s.admitted);
-                     (Printf.sprintf "shard.%d.active" k, string_of_int s.active);
-                   ]
-               | R_resp _ -> []))
-      in
-      (* fleet sums of the drift certificate and incremental-maintenance
-         volumes; the barrier cut makes them a consistent snapshot, and
-         the gauges are overwritten so /metrics shows the global view *)
-      Aa_obs.Registry.Gauge.set g_drift !drift;
-      Aa_obs.Registry.Gauge.set g_splices (float_of_int !splices);
-      Aa_obs.Registry.Gauge.set g_resolves (float_of_int !resolves);
-      let head =
-        [
-          ("admitted", string_of_int !admitted);
-          ("active", string_of_int !active);
-          ("utility", Printf.sprintf "%.9g" !utility);
-          ("degraded", (if !degraded then "1" else "0"));
-          ("drift_bound", Printf.sprintf "%.9g" !drift);
-          ("incremental.splices", string_of_int !splices);
-          ("incremental.resolves", string_of_int !resolves);
-          ("shards", string_of_int t.n);
-        ]
-      in
-      (* Certified-interval keys appear only once every shard has a
-         REBALANCE behind it: a partial sum would understate the global
-         bounds, so mixed Some/None drops the keys entirely. *)
-      let acc = ref (Some (0.0, 0.0, 0.0)) in
-      Array.iter
-        (function
-          | R_stats { interval = Some (lo, hi, a); _ } -> (
-              match !acc with
-              | Some (l, h, g) -> acc := Some (l +. lo, h +. hi, g +. a)
-              | None -> ())
-          | R_stats { interval = None; _ } -> acc := None
-          | R_resp _ -> ())
-        results;
-      let interval =
-        match !acc with
-        | Some (lo, hi, a) ->
-            [
-              ("utility_lower", Printf.sprintf "%.9g" lo);
-              ("utility_upper", Printf.sprintf "%.9g" hi);
-              ("alpha_gap", Printf.sprintf "%.9g" a);
-            ]
-        | None -> []
+               [
+                 (Printf.sprintf "shard.%d.admitted" k, string_of_int gs.(k).admitted);
+                 (Printf.sprintf "shard.%d.active" k, string_of_int gs.(k).active);
+               ]))
       in
       Mutex.lock t.mlock;
       let m = Metrics.report t.metrics in
       Mutex.unlock t.mlock;
-      Stats_report (head @ interval @ per_shard @ m)
+      Stats_report
+        (Engine.gauge_keys fleet @ (("shards", string_of_int t.n) :: per_shard) @ m)
   | B_snapshot -> (
       let err = ref None in
       let active = ref 0 and admitted = ref 0 and utility = ref 0.0 and compacted = ref true in
@@ -340,6 +300,9 @@ let aggregate t (b : barrier) : Protocol.response =
              Aa_obs.Registry.Gauge.set g_alpha !alpha
            end);
           let gap = if !offline > 0.0 then !online /. !offline else 1.0 in
+          Mutex.lock t.mlock;
+          Metrics.note_gap t.metrics gap;
+          Mutex.unlock t.mlock;
           Rebalance_report { online = !online; offline = !offline; gap })
 
 (* Arrival phase, then local compute, then the last shard aggregates.
@@ -553,10 +516,10 @@ let enqueue_one t s job =
 let post ?conn t (req : Protocol.request) : ticket =
   let rctx =
     if Aa_obs.Rctx.enabled () then
-      Some (Aa_obs.Rctx.create ~kind:(kind_of req) ~conn:(Option.value conn ~default:0))
+      Some (Aa_obs.Rctx.create ~kind:(Protocol.kind_of req) ~conn:(Option.value conn ~default:0))
     else None
   in
-  let tk = ticket ~kind:(kind_of req) ~t0:(t.clock ()) ~rctx in
+  let tk = ticket ~kind:(Protocol.kind_of req) ~t0:(t.clock ()) ~rctx in
   let local ~shard req =
     (match rctx with Some c -> Aa_obs.Rctx.set_shard c shard | None -> ());
     Request { req; ticket = tk } |> enqueue_one t shard

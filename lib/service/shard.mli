@@ -8,7 +8,7 @@
     shards. Servers map as [global = server_base(s) + local], with
     shard [s] owning [m/n (+1 for s < m mod n)] servers. With [n = 1]
     every mapping is the identity and wire output is byte-identical to
-    the plain engine's.
+    the plain engine's, STATS aside (below).
 
     {b Group commit.} Each worker drains its queue in FIFO bursts and
     runs every burst of consecutive requests through
@@ -23,9 +23,14 @@
     computing, so the aggregated report is a consistent cut: every
     mutation queued before the barrier is flushed, none after it has
     started. REBALANCE sums per-shard online/offline utilities and
-    reports the global gap; STATS sums gauges and appends per-shard
-    [shard.K.admitted]/[shard.K.active] entries plus the dispatch-layer
-    metrics.
+    reports the global gap; STATS sums the engines' gauges, renders
+    them with {!Engine.gauge_keys} and appends [shards], per-shard
+    [shard.K.admitted]/[shard.K.active] entries and the request book.
+
+    {b Request book.} The shard's {!Metrics} is the daemon's only one:
+    each request is timed from {!post} to its first {!await}, malformed
+    lines count under ["malformed"], and the REBALANCE aggregate notes
+    the fleet gap ([rebalance.gap]). Engines keep no book.
 
     {b Crashes.} A {!Aa_fault.Failpoint.Crash} raised in any worker
     (the simulated process death) marks the whole group crashed: every
@@ -103,14 +108,22 @@ val post : ?conn:int -> t -> Protocol.request -> ticket
     {!Aa_obs.Rctx.enabled}, a fresh request context is attached to the
     ticket, tagged with [conn] (default 0, the stdin pseudo-connection). *)
 
-val rctx : ticket -> Aa_obs.Rctx.t option
-(** The ticket's request context, for the acking thread to
-    {!Aa_obs.Rctx.finish} (and access-log) after the reply is sent.
-    [None] when the Rctx layer was off at {!post} time. *)
+val rctx : ticket -> Aa_obs.Rctx.t option (* aa-lint: ignore unused-export -- read by the repository benchmark, perfbench/ *)
+(** The ticket's request context; [None] when the Rctx layer was off
+    at {!post} time. The daemon closes it through {!ack}. *)
 
 val await : t -> ticket -> outcome
-(** Block until the ticket resolves. First await records the request's
-    dispatch-layer latency metric. *)
+(** Block until the ticket resolves. First await records the request in
+    the request book. *)
+
+val ack :
+  ?access_log:Access_log.t -> ?dropped:bool -> ticket -> outcome -> bytes:int -> unit
+(** The acking side's last step, once the reply ([bytes] on the wire)
+    is sent: {!Aa_obs.Rctx.finish} the ticket's context with the
+    outcome's name (["ok"], ["err:<code>"], ["crashed"]; ["dropped"]
+    when [dropped], the client gone mid-write) and append the access-log
+    record. A no-op for a ticket without a context. Call once per
+    ticket. *)
 
 val submit : t -> Protocol.request -> outcome
 (** [await t (post t req)]. *)

@@ -143,3 +143,28 @@ let count_substring haystack needle =
     done;
     !acc
   end
+
+(* --- the aa_serve binary, end to end --- *)
+
+let serve_bin =
+  List.find_opt Sys.file_exists
+    [ "../bin/aa_serve.exe"; "_build/default/bin/aa_serve.exe" ]
+  |> Option.value ~default:"../bin/aa_serve.exe"
+
+(* Run aa_serve on [input] as stdin, with [env] ("NAME=value") prefixed
+   to the command; fail unless it exits [expect]. Returns (stdout,
+   stderr). Every file lives under the temp dir and is removed after. *)
+let run_serve ?env ?(expect = 0) args input =
+  let tmp suffix = Filename.temp_file "aa_serve" suffix in
+  let inp = tmp ".in" and out = tmp ".out" and err = tmp ".err" in
+  Out_channel.with_open_text inp (fun oc -> Out_channel.output_string oc input);
+  let cmd = Filename.quote_command serve_bin args ~stdin:inp ~stdout:out ~stderr:err in
+  let cmd = match env with None -> cmd | Some kv -> kv ^ " " ^ cmd in
+  let code = Sys.command cmd in
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  List.iter Sys.remove [ inp; out; err ];
+  if code <> expect then
+    Alcotest.failf "aa_serve %s: exit %d (expected %d)\nstderr: %s"
+      (String.concat " " args) code expect stderr;
+  (stdout, stderr)

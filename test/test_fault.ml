@@ -742,26 +742,6 @@ let test_crash_at_group_commit_failpoints () =
 
 (* ---------- the daemon's fault surface ---------- *)
 
-let serve_bin =
-  List.find_opt Sys.file_exists
-    [ "../bin/aa_serve.exe"; "_build/default/bin/aa_serve.exe" ]
-  |> Option.value ~default:"../bin/aa_serve.exe"
-
-let run_serve ?env ~expect args input =
-  Out_channel.with_open_text "fault_serve_in.txt" (fun oc ->
-      Out_channel.output_string oc input);
-  let cmd = Filename.quote_command serve_bin args in
-  let cmd = match env with None -> cmd | Some kv -> kv ^ " " ^ cmd in
-  let code =
-    Sys.command
-      (cmd ^ " < fault_serve_in.txt > fault_serve_out.txt 2> fault_serve_err.txt")
-  in
-  let out = In_channel.with_open_text "fault_serve_out.txt" In_channel.input_all in
-  let err = In_channel.with_open_text "fault_serve_err.txt" In_channel.input_all in
-  if code <> expect then
-    Alcotest.failf "aa_serve exited %d (want %d); stderr:\n%s" code expect err;
-  (out, err)
-
 let count_lines ~prefix s =
   String.split_on_char '\n' s
   |> List.filter (fun l ->
@@ -771,7 +751,7 @@ let count_lines ~prefix s =
 
 let test_serve_crash_exits_70 () =
   let out, err =
-    run_serve ~expect:70
+    Helpers.run_serve ~expect:70
       [ "--servers"; "2"; "--capacity"; "10"; "--faults"; "engine.dispatch=nth:2" ]
       "ADMIT power 4 0.5\nADMIT power 2 0.5\nSTATS\n"
   in
@@ -781,7 +761,7 @@ let test_serve_crash_exits_70 () =
 
 let test_serve_faults_from_env () =
   let _, err =
-    run_serve ~env:"AA_FAULTS=engine.dispatch=nth:1" ~expect:70
+    Helpers.run_serve ~env:"AA_FAULTS=engine.dispatch=nth:1" ~expect:70
       [ "--servers"; "2"; "--capacity"; "10" ]
       "STATS\n"
   in
@@ -790,25 +770,25 @@ let test_serve_faults_from_env () =
 
 let test_serve_flag_errors () =
   let _, err =
-    run_serve ~expect:1
+    Helpers.run_serve ~expect:1
       [ "--faults"; "frob" ]
       ""
   in
   if not (contains ~needle:"--faults" err) then
     Alcotest.failf "bad --faults not diagnosed: %s" err;
-  let _, err = run_serve ~expect:1 [ "--fsync"; "frob" ] "" in
+  let _, err = Helpers.run_serve ~expect:1 [ "--fsync"; "frob" ] "" in
   if not (contains ~needle:"--fsync" err) then
     Alcotest.failf "bad --fsync not diagnosed: %s" err
 
 let test_serve_refuses_journal_clobber () =
   let path = Filename.temp_file "aa_fault_serve" ".log" in
   ignore
-    (run_serve ~expect:0
+    (Helpers.run_serve ~expect:0
        [ "-m"; "2"; "-C"; "10"; "--journal"; path; "--fsync"; "never" ]
        "ADMIT power 4 0.5\n");
   (* a second fresh run against the same journal must refuse, not wipe *)
   let _, err =
-    run_serve ~expect:1
+    Helpers.run_serve ~expect:1
       [ "-m"; "2"; "-C"; "10"; "--journal"; path; "--fsync"; "never" ]
       "ADMIT power 4 0.5\n"
   in
@@ -816,7 +796,7 @@ let test_serve_refuses_journal_clobber () =
     Alcotest.failf "clobber refusal should mention --replay: %s" err;
   (* and --replay recovers it *)
   let out, _ =
-    run_serve ~expect:0
+    Helpers.run_serve ~expect:0
       [ "--journal"; path; "--replay"; "--fsync"; "never" ]
       "QUERY 0\n"
   in

@@ -174,6 +174,36 @@ let test_single_shard_wire_identity () =
       Alcotest.(check (option string)) line want got)
     script
 
+let test_single_shard_stats_superset () =
+  (* one STATS vocabulary: every key a plain engine reports also comes
+     out of the 1-shard cut (rendered by the same function), and the cut
+     adds the request book — counts, latencies and the REBALANCE gap *)
+  let script = [ "ADMIT power 4 0.5"; "ADMIT log 3 1"; "QUERY 0"; "REBALANCE" ] in
+  let plain = Engine.create ~servers:2 ~capacity:cap () in
+  let sh = make_shard ~servers:2 ~shards:1 () in
+  Fun.protect ~finally:(fun () -> Shard.shutdown sh) @@ fun () ->
+  List.iter
+    (fun line ->
+      ignore (Engine.handle_line plain line);
+      ignore (Shard.handle_line sh line))
+    script;
+  let keys = function
+    | Protocol.Stats_report kvs -> List.map fst kvs
+    | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r)
+  in
+  let want = keys (Engine.handle plain Protocol.Stats) in
+  let got =
+    match Shard.handle_line sh "STATS" with
+    | Some (Shard.Reply r) -> keys r
+    | Some (Shard.Crashed name) -> Alcotest.failf "crashed at %s" name
+    | None -> Alcotest.fail "no reply to STATS"
+  in
+  List.iter
+    (fun k -> if not (List.mem k got) then Alcotest.failf "1-shard STATS lacks %s" k)
+    (want
+    @ [ "shards"; "shard.0.admitted"; "requests"; "ok"; "err"; "p99"; "rebalance.gap";
+        "admit.ok"; "admit.p99"; "query.ok"; "rebalance.ok" ])
+
 (* ---------- in-process listener, concurrent clients ---------- *)
 
 let with_client addr f =
@@ -295,11 +325,6 @@ let test_rebalance_rid_trace () =
 
 (* ---------- end-to-end: aa_serve --listen ---------- *)
 
-let serve_bin =
-  List.find_opt Sys.file_exists
-    [ "../bin/aa_serve.exe"; "_build/default/bin/aa_serve.exe" ]
-  |> Option.value ~default:"../bin/aa_serve.exe"
-
 (* Spawn the daemon with stdin held open on a pipe (closing it is the
    shutdown signal), run [f] against its unix socket, return the exit
    status. Bounded waits everywhere — a wedged daemon fails the test,
@@ -317,9 +342,9 @@ let with_daemon ?(faults = []) args f =
   in
   let argv =
     Array.of_list
-      ((serve_bin :: "--listen" :: ("unix:" ^ sock) :: args) @ faults)
+      ((Helpers.serve_bin :: "--listen" :: ("unix:" ^ sock) :: args) @ faults)
   in
-  let pid = Unix.create_process serve_bin argv stdin_r devnull err_fd in
+  let pid = Unix.create_process Helpers.serve_bin argv stdin_r devnull err_fd in
   Unix.close stdin_r;
   Unix.close devnull;
   Unix.close err_fd;
@@ -677,6 +702,8 @@ let () =
           Alcotest.test_case "routing" `Quick test_shard_routing;
           Alcotest.test_case "n=1 wire identity" `Quick
             test_single_shard_wire_identity;
+          Alcotest.test_case "n=1 STATS keys superset" `Quick
+            test_single_shard_stats_superset;
           Alcotest.test_case "rebalance rid-linked trace" `Quick
             test_rebalance_rid_trace;
         ] );

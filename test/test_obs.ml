@@ -105,12 +105,6 @@ let test_histogram_merge_equals_combined () =
     (List.length samples_a + List.length samples_b)
     (Histogram.count m)
 
-let test_metrics_histogram_is_obs_histogram () =
-  (* the re-export is the same module: values flow across freely *)
-  let h : Aa_service.Metrics.Histogram.t = Histogram.create () in
-  Histogram.add h 0.5;
-  Alcotest.(check int) "shared type" 1 (Aa_service.Metrics.Histogram.count h)
-
 (* ---------- registry ---------- *)
 
 let test_counter_basics () =
@@ -743,7 +737,7 @@ let test_rctx_slow_capture () =
 
 let test_engine_phase_spans () =
   let engine =
-    Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 ()
+    Aa_service.Engine.create ~servers:2 ~capacity:10.0 ()
   in
   let resp = Aa_service.Engine.handle engine (Aa_service.Protocol.Admit
     (Aa_io.Format_text.spec_of_utility
@@ -765,7 +759,7 @@ let test_engine_phase_spans () =
 
 let test_engine_trace_request () =
   let engine =
-    Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 ()
+    Aa_service.Engine.create ~servers:2 ~capacity:10.0 ()
   in
   ignore
     (Aa_service.Engine.handle engine
@@ -782,7 +776,7 @@ let test_engine_trace_request () =
 
 let test_trace_request_disabled () =
   Control.set_enabled false;
-  let engine = Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 () in
+  let engine = Aa_service.Engine.create ~servers:2 ~capacity:10.0 () in
   match Aa_service.Engine.handle engine Aa_service.Protocol.Trace with
   | Aa_service.Protocol.Trace_dump { events; json } ->
       Alcotest.(check int) "no events" 0 events;
@@ -800,7 +794,6 @@ let () =
           t "invalid q raises" test_histogram_invalid_q;
           t "single bucket" test_histogram_single_bucket;
           t "merge = combined stream" test_histogram_merge_equals_combined;
-          t "metrics re-export" test_metrics_histogram_is_obs_histogram;
         ] );
       ( "registry",
         [

@@ -95,15 +95,15 @@ let prop_parse_total =
 (* ---------- metrics ---------- *)
 
 let test_histogram_quantiles () =
-  let h = Metrics.Histogram.create () in
-  Helpers.check_float "empty" 0.0 (Metrics.Histogram.quantile h 0.5);
+  let h = Aa_obs.Histogram.create () in
+  Helpers.check_float "empty" 0.0 (Aa_obs.Histogram.quantile h 0.5);
   for i = 1 to 1000 do
     (* 0.1 ms .. 100 ms, uniformly *)
-    Metrics.Histogram.add h (float_of_int i *. 1e-4)
+    Aa_obs.Histogram.add h (float_of_int i *. 1e-4)
   done;
-  Alcotest.(check int) "count" 1000 (Metrics.Histogram.count h);
+  Alcotest.(check int) "count" 1000 (Aa_obs.Histogram.count h);
   let check q expect =
-    let got = Metrics.Histogram.quantile h q in
+    let got = Aa_obs.Histogram.quantile h q in
     if Float.abs (got -. expect) > 0.15 *. expect then
       Alcotest.failf "q%g: got %g, want ~%g (log-bucket error should be <15%%)" q got
         expect
@@ -113,13 +113,13 @@ let test_histogram_quantiles () =
   check 0.99 0.099
 
 let test_histogram_extremes () =
-  let h = Metrics.Histogram.create () in
-  Metrics.Histogram.add h 0.0;
-  Metrics.Histogram.add h 1e-12;
-  Metrics.Histogram.add h 1e9;
-  Alcotest.(check int) "count" 3 (Metrics.Histogram.count h);
-  Helpers.check_le "tiny stays tiny" (Metrics.Histogram.quantile h 0.01) 2e-9;
-  Helpers.check_ge "huge clamps to the last bucket" (Metrics.Histogram.quantile h 0.99)
+  let h = Aa_obs.Histogram.create () in
+  Aa_obs.Histogram.add h 0.0;
+  Aa_obs.Histogram.add h 1e-12;
+  Aa_obs.Histogram.add h 1e9;
+  Alcotest.(check int) "count" 3 (Aa_obs.Histogram.count h);
+  Helpers.check_le "tiny stays tiny" (Aa_obs.Histogram.quantile h 0.01) 2e-9;
+  Helpers.check_ge "huge clamps to the last bucket" (Aa_obs.Histogram.quantile h 0.99)
     100.0
 
 let test_metrics_report () =
@@ -267,18 +267,32 @@ let test_engine_session () =
       Helpers.check_float "departed holds nothing" 0.0 alloc;
       Alcotest.(check bool) "inactive" false active
   | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r));
-  match expect_ok e "STATS" with
+  let get kvs k =
+    match List.assoc_opt k kvs with
+    | Some v -> v
+    | None -> Alcotest.failf "missing stats key %s" k
+  in
+  (match expect_ok e "STATS" with
   | Protocol.Stats_report kvs ->
-      let get k =
-        match List.assoc_opt k kvs with
-        | Some v -> v
-        | None -> Alcotest.failf "missing stats key %s" k
-      in
-      Alcotest.(check string) "admitted" "2" (get "admitted");
-      Alcotest.(check string) "active" "1" (get "active");
-      Alcotest.(check string) "admit.ok" "2" (get "admit.ok");
-      Alcotest.(check string) "rebalance gap" "1.000000" (get "rebalance.gap")
-  | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r)
+      Alcotest.(check string) "admitted" "2" (get kvs "admitted");
+      Alcotest.(check string) "active" "1" (get kvs "active")
+  | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r));
+  (* the request book is the dispatcher's: the same script through a
+     1-shard Shard counts the ADMITs and notes the REBALANCE gap *)
+  let sh = Shard.create [| Engine.create ~servers:2 ~capacity:cap () |] in
+  Fun.protect ~finally:(fun () -> Shard.shutdown sh) @@ fun () ->
+  List.iter
+    (fun line -> ignore (Shard.handle_line sh line))
+    [ "ADMIT capped 1 10"; "ADMIT capped 1 10"; "QUERY 0"; "REBALANCE"; "DEPART 0"; "QUERY 0" ];
+  match Shard.handle_line sh "STATS" with
+  | Some (Shard.Reply (Protocol.Stats_report kvs)) ->
+      Alcotest.(check string) "admitted" "2" (get kvs "admitted");
+      Alcotest.(check string) "active" "1" (get kvs "active");
+      Alcotest.(check string) "admit.ok" "2" (get kvs "admit.ok");
+      Alcotest.(check string) "rebalance gap" "1.000000" (get kvs "rebalance.gap")
+  | Some (Shard.Reply r) -> Alcotest.failf "unexpected %s" (Protocol.print_response r)
+  | Some (Shard.Crashed name) -> Alcotest.failf "crashed at %s" name
+  | None -> Alcotest.fail "no reply to STATS"
 
 let test_engine_errors () =
   let e = Engine.create ~servers:2 ~capacity:cap () in
@@ -688,22 +702,7 @@ let test_journal_forms_replay_alike () =
 
 (* ---------- the daemon binary, end to end ---------- *)
 
-let serve_bin =
-  List.find_opt Sys.file_exists
-    [ "../bin/aa_serve.exe"; "_build/default/bin/aa_serve.exe" ]
-  |> Option.value ~default:"../bin/aa_serve.exe"
-
-let run_serve ?(expect = 0) args input =
-  Out_channel.with_open_text "serve_in.txt" (fun oc ->
-      Out_channel.output_string oc input);
-  let cmd = Filename.quote_command serve_bin args in
-  let code = Sys.command (cmd ^ " < serve_in.txt > serve_out.txt 2> serve_err.txt") in
-  if code <> expect then begin
-    let err = In_channel.with_open_text "serve_err.txt" In_channel.input_all in
-    Alcotest.failf "aa_serve %s: exit %d (expected %d)\nstderr: %s"
-      (String.concat " " args) code expect err
-  end;
-  In_channel.with_open_text "serve_out.txt" In_channel.input_all
+let run_serve ?expect args input = fst (Helpers.run_serve ?expect args input)
 
 let response_lines out =
   String.split_on_char '\n' out |> List.filter (fun l -> l <> "")
@@ -759,8 +758,7 @@ let test_daemon_journal_replay () =
   Sys.remove path
 
 let test_daemon_telemetry_flags () =
-  (* --slow-ms routes through the sharded dispatch (wire-identical for
-     n = 1) and arms the keep-list the SLOW verb reads back *)
+  (* --slow-ms arms the keep-list the SLOW verb reads back *)
   let out =
     run_serve
       [ "-m"; "2"; "-C"; "10"; "--slow-ms"; "0" ]
